@@ -22,6 +22,8 @@ struct RpcMetrics {
   obs::Counter& client_errors;  // calls that returned a non-ok Status
   obs::Counter& client_bytes_sent;
   obs::Counter& client_bytes_received;
+  obs::Counter& client_connects;  // connections dialled
+  obs::Counter& client_reused;    // idle connections taken instead
   obs::Counter& server_requests;
   obs::Counter& server_bytes_in;
   obs::Counter& server_bytes_out;
@@ -34,6 +36,8 @@ struct RpcMetrics {
         registry.counter("rpc.client.errors"),
         registry.counter("rpc.client.bytes.sent"),
         registry.counter("rpc.client.bytes.received"),
+        registry.counter("rpc.client.connects"),
+        registry.counter("rpc.client.connections.reused"),
         registry.counter("rpc.server.requests"),
         registry.counter("rpc.server.bytes.in"),
         registry.counter("rpc.server.bytes.out"),
@@ -127,7 +131,6 @@ Endpoint RpcServer::endpoint() const {
 
 void RpcServer::stop() {
   std::thread accept_thread;
-  std::vector<std::thread> workers;
   AdmissionController* admission = nullptr;
   {
     MutexLock lock(mu_);
@@ -136,32 +139,39 @@ void RpcServer::stop() {
       if (!started_) return;
     }
     if (listener_) listener_->close();
-    for (auto& weak_conn : connections_) {
-      if (auto conn = weak_conn.lock()) conn->close();
+    for (auto& [id, worker] : workers_) {
+      if (auto conn = worker.conn.lock()) conn->close();
     }
     admission = admission_.get();
     accept_thread = std::move(accept_thread_);
-    workers = std::move(workers_);
   }
   // Unblock workers parked in the admission queue before joining them.
   if (admission != nullptr) admission->close();
+  // The accept loop adds no worker once stopping_ is set, so after it is
+  // joined the map is final.
   if (accept_thread.joinable()) accept_thread.join();
-  for (std::thread& worker : workers) {
-    if (worker.joinable()) worker.join();
+  std::map<std::uint64_t, Worker> workers;
+  {
+    MutexLock lock(mu_);
+    workers = std::move(workers_);
+    workers_.clear();
+  }
+  for (auto& [id, worker] : workers) {
+    if (worker.thread.joinable()) worker.thread.join();
   }
   MutexLock lock(mu_);
+  finished_.clear();  // every worker is joined: no id is pushed any more
   started_ = false;
   stopping_ = false;
   listener_.reset();
   admission_.reset();  // a restarted server gets a fresh controller
-  connections_.clear();
 }
 
 std::size_t RpcServer::live_connections() const {
   MutexLock lock(mu_);
   std::size_t live = 0;
-  for (const auto& weak_conn : connections_) {
-    if (!weak_conn.expired()) ++live;
+  for (const auto& [id, worker] : workers_) {
+    if (!worker.conn.expired()) ++live;
   }
   return live;
 }
@@ -183,15 +193,39 @@ void RpcServer::accept_loop() {
       continue;
     }
     std::shared_ptr<Connection> conn = std::move(*accepted);
-    MutexLock lock(mu_);
-    if (stopping_) {
-      conn->close();
-      return;
+    // Join the threads of connections that have ended as we go, so a
+    // long-lived server holds one thread (and stack) per live connection.
+    std::vector<std::thread> finished;
+    {
+      MutexLock lock(mu_);
+      if (stopping_) {
+        conn->close();
+        return;
+      }
+      for (const std::uint64_t id : finished_) {
+        const auto it = workers_.find(id);
+        finished.push_back(std::move(it->second.thread));
+        workers_.erase(it);
+      }
+      finished_.clear();
+      const std::uint64_t id = next_worker_++;
+      Worker& worker = workers_[id];
+      worker.conn = conn;
+      worker.thread = std::thread(
+          [this, id, conn = std::move(conn)]() mutable {
+            run_worker(id, std::move(conn));
+          });
     }
-    connections_.push_back(conn);
-    workers_.emplace_back(
-        [this, conn = std::move(conn)]() mutable { serve_connection(conn); });
+    for (std::thread& thread : finished) thread.join();
   }
+}
+
+void RpcServer::run_worker(std::uint64_t id,
+                           std::shared_ptr<Connection> conn) {
+  serve_connection(conn);
+  conn.reset();  // the connection is released before it counts as done
+  MutexLock lock(mu_);
+  finished_.push_back(id);
 }
 
 void RpcServer::serve_connection(std::shared_ptr<Connection> conn) {
@@ -313,19 +347,33 @@ RpcClient::RpcClient(Transport& transport, Endpoint server, WireFormat format)
 
 RpcClient::~RpcClient() {
   MutexLock lock(mu_);
-  if (conn_) conn_->close();
+  // Every failed exchange dropped the connection, so one still held is
+  // between exchanges and safe for the next client of this server.
+  if (conn_) transport_.park_idle(server_, std::move(conn_));
 }
 
-Status RpcClient::ensure_connected() {
+Status RpcClient::ensure_connected(bool reuse) {
   if (conn_) return Status::ok();
+  if (reuse) {
+    conn_ = transport_.take_idle(server_);
+    if (conn_) {
+      RpcMetrics::get().client_reused.add();
+      return Status::ok();
+    }
+  }
   GL_ASSIGN_OR_RETURN(conn_, transport_.connect(server_));
+  RpcMetrics::get().client_connects.add();
   return Status::ok();
+}
+
+void RpcClient::drop_connection() {
+  if (conn_) conn_->close();
+  conn_.reset();
 }
 
 void RpcClient::reset_connection() {
   MutexLock lock(mu_);
-  if (conn_) conn_->close();
-  conn_.reset();
+  drop_connection();
 }
 
 Result<Bytes> RpcClient::call(std::uint16_t method, ByteSpan request) {
@@ -418,7 +466,9 @@ Result<Bytes> RpcClient::call_once(std::uint16_t method, ByteSpan request,
       return deadline_exceeded(
           strings::cat("rpc ", method, ": budget exhausted before send"));
     }
-    GL_RETURN_IF_ERROR(ensure_connected());
+    // The retry after a broken connection dials: another idle connection
+    // to this server may be just as dead.
+    GL_RETURN_IF_ERROR(ensure_connected(/*reuse=*/attempt == 0));
 
     RpcFrame frame;
     frame.kind = FrameKind::kRequest;
@@ -443,7 +493,7 @@ Result<Bytes> RpcClient::call_once(std::uint16_t method, ByteSpan request,
     RpcMetrics::get().client_bytes_sent.add(encoded.size());
     const Status sent = conn_->send(encoded);
     if (!sent.is_ok()) {
-      conn_.reset();
+      drop_connection();
       if (attempt == 0 && sent.code() == ErrorCode::kClosed) continue;
       return sent;
     }
@@ -458,6 +508,9 @@ Result<Bytes> RpcClient::call_once(std::uint16_t method, ByteSpan request,
     auto message = recv_deadline != nullptr ? conn_->recv_until(*recv_deadline)
                                             : conn_->recv();
     if (!message.is_ok()) {
+      // A reply that arrives after a timeout would otherwise be read as
+      // the next call's reply.
+      drop_connection();
       const ErrorCode code = message.status().code();
       if (code == ErrorCode::kTimeout) {
         if (ambient && recv_deadline == &*ambient) {
@@ -471,18 +524,21 @@ Result<Bytes> RpcClient::call_once(std::uint16_t method, ByteSpan request,
         }
         return message.status();
       }
-      conn_.reset();
       if (attempt == 0 && code == ErrorCode::kClosed) continue;
       return message.status();
     }
     RpcMetrics::get().client_bytes_received.add(message->size());
-    GL_ASSIGN_OR_RETURN(RpcFrame reply, decode_frame(*message, format_));
-    if (reply.kind != FrameKind::kResponse || reply.id != frame.id) {
-      conn_.reset();
+    auto reply = decode_frame(*message, format_);
+    if (!reply.is_ok()) {
+      drop_connection();
+      return reply.status();
+    }
+    if (reply->kind != FrameKind::kResponse || reply->id != frame.id) {
+      drop_connection();
       return internal_error("rpc response out of sequence");
     }
-    if (!reply.status.is_ok()) return reply.status;
-    return std::move(reply.payload);
+    if (!reply->status.is_ok()) return reply->status;
+    return std::move(reply->payload);
   }
   return unavailable(strings::cat("rpc to ", server_.to_string(),
                                   " failed after reconnect"));

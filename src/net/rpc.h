@@ -3,7 +3,9 @@
 // Frames are either raw binary (default) or SOAP/XML envelopes
 // (WireFormat::kSoap) — the services are oblivious to the choice.
 // A server runs one thread per connection; handlers may block (the Grid
-// Buffer's read-blocks-until-written semantics depend on this).
+// Buffer's read-blocks-until-written semantics depend on this). Clients
+// reuse connections through their Transport's idle list, so a connection
+// (and its server thread) outlives the client that dialled it.
 #pragma once
 
 #include <atomic>
@@ -84,8 +86,17 @@ class RpcServer {
     bool admitted = true;
   };
 
+  /// One accepted connection and the thread serving it.
+  struct Worker {
+    std::thread thread;
+    std::weak_ptr<Connection> conn;
+  };
+
   void accept_loop();
   void serve_connection(std::shared_ptr<Connection> conn);
+  /// Serves `conn`, then reports worker `id` finished for the accept
+  /// loop to join.
+  void run_worker(std::uint64_t id, std::shared_ptr<Connection> conn);
 
   Transport& transport_;
   Endpoint bind_;
@@ -97,15 +108,19 @@ class RpcServer {
   std::unique_ptr<AdmissionController> admission_ GUARDED_BY(mu_);
   std::unique_ptr<Listener> listener_ GUARDED_BY(mu_);
   std::thread accept_thread_ GUARDED_BY(mu_);
-  std::vector<std::thread> workers_ GUARDED_BY(mu_);
-  std::vector<std::weak_ptr<Connection>> connections_ GUARDED_BY(mu_);
+  std::map<std::uint64_t, Worker> workers_ GUARDED_BY(mu_);
+  // Workers whose thread has finished serving but is not yet joined.
+  std::vector<std::uint64_t> finished_ GUARDED_BY(mu_);
+  std::uint64_t next_worker_ GUARDED_BY(mu_) = 0;
   bool started_ GUARDED_BY(mu_) = false;
   std::atomic<bool> stopping_{false};
 };
 
 /// Synchronous RPC client. One outstanding call at a time per client;
-/// create several clients for concurrency. Reconnects once on a broken
-/// connection.
+/// create several clients for concurrency. The first call takes an idle
+/// connection from the transport (or dials one); the destructor parks it
+/// back when its last exchange finished cleanly. Reconnects once, with a
+/// fresh dial, on a broken connection.
 class RpcClient {
  public:
   RpcClient(Transport& transport, Endpoint server,
@@ -125,7 +140,7 @@ class RpcClient {
 
   const Endpoint& server() const noexcept { return server_; }
 
-  /// Drops the cached connection (next call reconnects).
+  /// Closes the connection (next call dials afresh).
   void reset_connection();
 
  private:
@@ -133,7 +148,11 @@ class RpcClient {
                           const WallClock::time_point* deadline);
   Result<Bytes> call_once(std::uint16_t method, ByteSpan request,
                           const WallClock::time_point* deadline) REQUIRES(mu_);
-  Status ensure_connected() REQUIRES(mu_);
+  /// Takes an idle connection when `reuse`, else (or when none) dials.
+  Status ensure_connected(bool reuse) REQUIRES(mu_);
+  /// Closes the connection so it is never parked: after a failed, timed
+  /// out or out-of-sequence exchange its stream may still carry a reply.
+  void drop_connection() REQUIRES(mu_);
 
   Transport& transport_;
   Endpoint server_;
@@ -141,7 +160,8 @@ class RpcClient {
   std::string fault_key_;  // "src>dst" host pair for fault-plan consults
   // call_impl() consults the armed fault plan and bumps retry metrics
   // under the client lock (backoff sleeps release it).
-  Mutex mu_ ACQUIRED_BEFORE("Plan::mu_", "MetricsRegistry::mu_");
+  Mutex mu_ ACQUIRED_BEFORE("Plan::mu_", "MetricsRegistry::mu_",
+                            "Transport::idle_mu_");
   std::unique_ptr<Connection> conn_ GUARDED_BY(mu_);
   std::uint64_t next_id_ GUARDED_BY(mu_) = 1;
 };

@@ -21,6 +21,17 @@ Status errno_status(const char* what) {
   return io_error(strings::cat(what, ": ", strings::errno_message(errno)));
 }
 
+/// As errno_status(), but a peer that reset or closed the connection is
+/// kClosed, like an orderly EOF: RpcClient redials on kClosed, which is
+/// how it recovers an idle connection whose server went away.
+Status transfer_errno_status(const char* what) {
+  if (errno == EPIPE || errno == ECONNRESET) {
+    return closed_error(
+        strings::cat("tcp ", what, ": ", strings::errno_message(errno)));
+  }
+  return errno_status(what);
+}
+
 /// RAII file descriptor.
 class Fd {
  public:
@@ -59,7 +70,7 @@ Status send_all(int fd, const std::byte* data, std::size_t size) {
     const ssize_t n = ::send(fd, data + sent, size - sent, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
-      return errno_status("send");
+      return transfer_errno_status("send");
     }
     sent += static_cast<std::size_t>(n);
   }
@@ -93,7 +104,7 @@ Status recv_all(int fd, std::byte* data, std::size_t size, bool* eof_at_start,
     const ssize_t n = ::recv(fd, data + got, size - got, 0);
     if (n < 0) {
       if (errno == EINTR) continue;
-      return errno_status("recv");
+      return transfer_errno_status("recv");
     }
     if (n == 0) {
       if (eof_at_start != nullptr && got == 0) *eof_at_start = true;

@@ -6,12 +6,15 @@
 // any service code changing.
 #pragma once
 
+#include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "src/common/bytes.h"
 #include "src/common/clock.h"
 #include "src/common/status.h"
+#include "src/common/thread_annotations.h"
 #include "src/net/endpoint.h"
 
 namespace griddles::net {
@@ -53,6 +56,13 @@ class Listener {
   virtual void close() = 0;
 };
 
+/// Dials and binds endpoints. Also keeps the idle list: connections
+/// whose last request/response exchange finished cleanly, parked by
+/// endpoint until the next RpcClient for that endpoint takes one instead
+/// of dialling. A parked connection belongs to no client; the list has
+/// no cap (it never holds more than the peak number of clients that were
+/// connected to one endpoint at once) and closes what it holds when the
+/// transport is destroyed.
 class Transport {
  public:
   virtual ~Transport() = default;
@@ -65,6 +75,20 @@ class Transport {
   /// The host identity this transport connects *from* (used to pick the
   /// link model for the in-process network; informational for TCP).
   virtual const std::string& local_host() const = 0;
+
+  /// Takes the most recently parked idle connection to `remote`, or
+  /// nullptr when there is none. The peer may have closed it meanwhile;
+  /// the caller finds out on its first send or recv.
+  std::unique_ptr<Connection> take_idle(const Endpoint& remote);
+
+  /// Parks `conn`, which must be between exchanges (no request in
+  /// flight, no reply unread), for the next take_idle(remote).
+  void park_idle(const Endpoint& remote, std::unique_ptr<Connection> conn);
+
+ private:
+  Mutex idle_mu_;
+  std::map<std::string, std::vector<std::unique_ptr<Connection>>> idle_
+      GUARDED_BY(idle_mu_);
 };
 
 }  // namespace griddles::net

@@ -16,6 +16,7 @@
 #include "src/core/transcode_client.h"
 #include "src/gridbuffer/server.h"
 #include "src/net/inproc.h"
+#include "src/obs/metrics.h"
 #include "src/remote/file_server.h"
 #include "src/replica/catalog.h"
 #include "src/vfs/local_client.h"
@@ -192,6 +193,38 @@ TEST_F(FmTest, RemoteProxyMapping) {
   EXPECT_EQ(buffer, pattern(30000, 3));
   ASSERT_TRUE(fm->close(*fd).is_ok());
   EXPECT_EQ(fm->stats().proxy_opens, 1u);
+}
+
+TEST_F(FmTest, ProxyOpensReuseOneFileServerConnection) {
+  ASSERT_TRUE(vfs::write_file((file_server_.root() / "small.bin").string(),
+                              pattern(2000, 5))
+                  .is_ok());
+  gns::FileMapping mapping;
+  mapping.mode = gns::IoMode::kRemoteProxy;
+  mapping.remote_endpoint = file_server_.endpoint().to_string();
+  mapping.remote_path = "small.bin";
+  add_rule("jagan", "*small.dat", mapping);
+  auto fm = make_fm("jagan");
+  // The GNS client holds its own connection; dial it before counting.
+  ASSERT_TRUE(fm.gns->lookup("jagan", fm->canonical_path("small.dat")).is_ok());
+  auto& registry = obs::MetricsRegistry::global();
+  const std::uint64_t connects =
+      registry.counter("rpc.client.connects").value();
+  const std::uint64_t reused =
+      registry.counter("rpc.client.connections.reused").value();
+  constexpr int kOpens = 100;
+  for (int i = 0; i < kOpens; ++i) {
+    auto fd = fm->open("small.dat", vfs::OpenFlags::input());
+    ASSERT_TRUE(fd.is_ok()) << fd.status();
+    Bytes buffer(2000);
+    ASSERT_EQ(fm->read(*fd, {buffer.data(), buffer.size()}).value(), 2000u);
+    EXPECT_EQ(buffer, pattern(2000, 5));
+    ASSERT_TRUE(fm->close(*fd).is_ok());
+  }
+  EXPECT_EQ(fm->stats().proxy_opens, static_cast<std::uint64_t>(kOpens));
+  EXPECT_LE(registry.counter("rpc.client.connects").value() - connects, 1u);
+  EXPECT_GE(registry.counter("rpc.client.connections.reused").value() - reused,
+            static_cast<std::uint64_t>(kOpens - 1));
 }
 
 TEST_F(FmTest, RemoteCopyStagesInAndOut) {

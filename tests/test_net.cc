@@ -2,7 +2,14 @@
 // RPC, and the SOAP codec.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <filesystem>
+#include <fstream>
+#include <functional>
+#include <memory>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "src/common/clock.h"
 #include "src/net/endpoint.h"
@@ -10,11 +17,54 @@
 #include "src/net/rpc.h"
 #include "src/net/soap.h"
 #include "src/net/tcp.h"
+#include "src/obs/metrics.h"
 #include "src/xdr/codec.h"
 #include "tests/test_scaling.h"
 
 namespace griddles::net {
 namespace {
+
+std::uint64_t counter_value(const char* name) {
+  return obs::MetricsRegistry::global().counter(name).value();
+}
+
+/// Lines in /proc/self/maps: each thread stack still held is two.
+long count_maps() {
+  std::ifstream maps("/proc/self/maps");
+  long lines = 0;
+  for (std::string line; std::getline(maps, line);) ++lines;
+  return lines;
+}
+
+/// Threads of this process, live or not yet joined.
+long count_threads() {
+  long threads = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++threads;
+  }
+  return threads;
+}
+
+/// Waits (up to 2 s) for the thread count to fall to `expected`: a
+/// joined thread can stay listed in /proc/self/task for a moment.
+long await_threads(long expected) {
+  const auto give_up = WallClock::now() + std::chrono::seconds(2);
+  long threads = count_threads();
+  while (threads > expected && WallClock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    threads = count_threads();
+  }
+  return threads;
+}
+
+/// Registers method 1 (echo) on `server`.
+void register_echo(RpcServer& server) {
+  server.register_method(1, [](ByteSpan request, const RpcContext&)
+                                -> Result<Bytes> {
+    return Bytes(request.begin(), request.end());
+  });
+}
 
 TEST(EndpointTest, ParsesInproc) {
   auto ep = Endpoint::parse("inproc://dione/gns");
@@ -476,6 +526,237 @@ TEST(RpcOverTcpTest, EndToEnd) {
   ASSERT_TRUE(reply.is_ok());
   EXPECT_EQ(to_string(*reply), "over tcp");
   server.stop();
+}
+
+TEST(RpcClientTest, TimedOutCallDoesNotLeaveItsReplyForTheNextCall) {
+  RealClock clock;
+  InProcNetwork network(clock);
+  auto server_t = network.transport("dione");
+  auto client_t = network.transport("jagan");
+  RpcServer server(*server_t, inproc_endpoint("dione", "slow"));
+  register_echo(server);
+  server.register_method(2, [](ByteSpan, const RpcContext&) -> Result<Bytes> {
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    return to_bytes("late");
+  });
+  ASSERT_TRUE(server.start().is_ok());
+
+  RpcClient client(*client_t, server.endpoint());
+  auto slow = client.call_until(
+      2, {}, WallClock::now() + std::chrono::milliseconds(20));
+  ASSERT_FALSE(slow.is_ok());
+  EXPECT_EQ(slow.status().code(), ErrorCode::kTimeout);
+  // The late reply to the timed-out call must not answer this one.
+  auto next = client.call(1, as_bytes_view("fresh"));
+  ASSERT_TRUE(next.is_ok()) << next.status();
+  EXPECT_EQ(to_string(*next), "fresh");
+  server.stop();
+}
+
+TEST(RpcClientTest, ReusesIdleConnectionOfAnEarlierClient) {
+  RealClock clock;
+  InProcNetwork network(clock);
+  auto server_t = network.transport("dione");
+  auto client_t = network.transport("jagan");
+  RpcServer server(*server_t, inproc_endpoint("dione", "reuse"));
+  register_echo(server);
+  ASSERT_TRUE(server.start().is_ok());
+
+  const std::uint64_t connects = counter_value("rpc.client.connects");
+  const std::uint64_t reused = counter_value("rpc.client.connections.reused");
+  for (int i = 0; i < 20; ++i) {
+    RpcClient client(*client_t, server.endpoint());
+    ASSERT_TRUE(client.call(1, as_bytes_view("x")).is_ok());
+  }
+  EXPECT_EQ(counter_value("rpc.client.connects") - connects, 1u);
+  EXPECT_EQ(counter_value("rpc.client.connections.reused") - reused, 19u);
+  EXPECT_EQ(server.live_connections(), 1u);
+  server.stop();
+}
+
+TEST(RpcClientTest, ConcurrentClientsGetDistinctConnections) {
+  RealClock clock;
+  InProcNetwork network(clock);
+  auto server_t = network.transport("dione");
+  auto client_t = network.transport("jagan");
+  RpcServer server(*server_t, inproc_endpoint("dione", "barrier"));
+  register_echo(server);
+  // Each call waits until kClients calls are in their handlers at once,
+  // which only happens when no two clients share a connection (a server
+  // thread runs one request of its connection at a time).
+  constexpr int kClients = 4;
+  std::atomic<int> arrived{0};
+  server.register_method(2, [&](ByteSpan, const RpcContext&)
+                                -> Result<Bytes> {
+    ++arrived;
+    const auto give_up = WallClock::now() + std::chrono::seconds(10);
+    while (arrived.load() < kClients) {
+      if (WallClock::now() > give_up) return timeout_error("barrier");
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return Bytes{};
+  });
+  ASSERT_TRUE(server.start().is_ok());
+  {
+    // One idle connection up front: one client takes it, the rest must
+    // dial rather than share it.
+    RpcClient warm(*client_t, server.endpoint());
+    ASSERT_TRUE(warm.call(1, {}).is_ok());
+  }
+  std::vector<std::thread> threads;
+  std::atomic<int> failures{0};
+  for (int i = 0; i < kClients; ++i) {
+    threads.emplace_back([&] {
+      RpcClient client(*client_t, server.endpoint());
+      if (!client.call(2, {}).is_ok()) ++failures;
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(failures, 0);
+  EXPECT_EQ(server.live_connections(), static_cast<std::size_t>(kClients));
+  server.stop();
+}
+
+/// Parks `count` idle connections from `client_t` to `endpoint`, kills
+/// them all with `restart`, and checks that each of `count + 1`
+/// sequential clients still gets its call through.
+void expect_calls_survive_restart(Transport& client_t,
+                                  const Endpoint& endpoint,
+                                  const std::function<void()>& restart,
+                                  int count) {
+  {
+    std::vector<std::unique_ptr<RpcClient>> clients;
+    for (int i = 0; i < count; ++i) {
+      clients.push_back(std::make_unique<RpcClient>(client_t, endpoint));
+      ASSERT_TRUE(clients.back()->call(1, as_bytes_view("warm")).is_ok());
+    }
+  }
+  restart();
+  const std::uint64_t reused = counter_value("rpc.client.connections.reused");
+  for (int i = 0; i <= count; ++i) {
+    RpcClient client(client_t, endpoint);
+    auto reply = client.call(1, as_bytes_view("after restart"));
+    ASSERT_TRUE(reply.is_ok()) << "call " << i << ": " << reply.status();
+    EXPECT_EQ(to_string(*reply), "after restart");
+  }
+  // Every call first took an idle connection: the dead ones, then the
+  // fresh one each replacement parked.
+  EXPECT_EQ(counter_value("rpc.client.connections.reused") - reused,
+            static_cast<std::uint64_t>(count + 1));
+}
+
+TEST(RpcClientTest, DeadIdleConnectionsToRestartedInProcServerAreReplaced) {
+  RealClock clock;
+  InProcNetwork network(clock);
+  auto server_t = network.transport("dione");
+  auto client_t = network.transport("jagan");
+  auto server =
+      std::make_unique<RpcServer>(*server_t, inproc_endpoint("dione", "re"));
+  register_echo(*server);
+  ASSERT_TRUE(server->start().is_ok());
+  const Endpoint endpoint = server->endpoint();
+  expect_calls_survive_restart(
+      *client_t, endpoint,
+      [&] {
+        server->stop();
+        ASSERT_TRUE(server->start().is_ok());
+      },
+      /*count=*/3);
+  server->stop();
+}
+
+TEST(RpcClientTest, DeadIdleConnectionsToRestartedTcpServerAreReplaced) {
+  TcpTransport transport;
+  auto server =
+      std::make_unique<RpcServer>(transport, tcp_endpoint("127.0.0.1", 0));
+  register_echo(*server);
+  ASSERT_TRUE(server->start().is_ok());
+  // The replacement binds the same port, so the dead connections and the
+  // new server share one idle-list key.
+  const Endpoint endpoint = server->endpoint();
+  expect_calls_survive_restart(
+      transport, endpoint,
+      [&] {
+        server->stop();
+        server = std::make_unique<RpcServer>(transport, endpoint);
+        register_echo(*server);
+        ASSERT_TRUE(server->start().is_ok());
+      },
+      /*count=*/3);
+  server->stop();
+}
+
+TEST(RpcServerTest, JoinsThreadsOfFinishedConnections) {
+  RealClock clock;
+  InProcNetwork network(clock);
+  auto server_t = network.transport("dione");
+  RpcServer server(*server_t, inproc_endpoint("dione", "churn"));
+  register_echo(server);
+  ASSERT_TRUE(server.start().is_ok());
+  const long threads_serving_none = count_threads();
+  const long maps_before = count_maps();
+  constexpr int kConnections = 500;
+  for (int i = 0; i < kConnections; ++i) {
+    // A transport of its own per cycle: its idle list, and with it the
+    // connection, is gone at the end of the iteration.
+    auto client_t = network.transport("jagan");
+    RpcClient client(*client_t, server.endpoint());
+    ASSERT_TRUE(client.call(1, as_bytes_view("x")).is_ok());
+  }
+  const long grown = count_maps() - maps_before;
+  EXPECT_LT(grown, kConnections / 5)
+      << "maps grew by " << grown << " over " << kConnections
+      << " connections";
+  server.stop();
+  EXPECT_EQ(server.live_connections(), 0u);
+  // The accept thread and every connection thread are gone.
+  EXPECT_LE(await_threads(threads_serving_none - 1),
+            threads_serving_none - 1);
+}
+
+TEST(RpcServerTest, StopJoinsThreadsOfLiveAndIdleConnections) {
+  RealClock clock;
+  InProcNetwork network(clock);
+  auto server_t = network.transport("dione");
+  auto client_t = network.transport("jagan");
+  const long threads_before = count_threads();
+  RpcServer server(*server_t, inproc_endpoint("dione", "joined"));
+  register_echo(server);
+  std::atomic<bool> handler_started{false};
+  std::atomic<bool> handler_done{false};
+  server.register_method(2, [&](ByteSpan, const RpcContext&)
+                                -> Result<Bytes> {
+    handler_started = true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    handler_done = true;
+    return Bytes{};
+  });
+  ASSERT_TRUE(server.start().is_ok());
+  {
+    // Three connections at once, then all three parked idle.
+    RpcClient a(*client_t, server.endpoint());
+    RpcClient b(*client_t, server.endpoint());
+    RpcClient c(*client_t, server.endpoint());
+    for (RpcClient* client : {&a, &b, &c}) {
+      ASSERT_TRUE(client->call(1, {}).is_ok());
+    }
+  }
+  RpcClient held(*client_t, server.endpoint());
+  ASSERT_TRUE(held.call(1, {}).is_ok());
+  EXPECT_EQ(server.live_connections(), 3u);
+  // A fourth connection is mid-request when stop() runs.
+  auto busy_t = network.transport("jagan");
+  std::thread busy([&] {
+    RpcClient client(*busy_t, server.endpoint());
+    (void)client.call(2, {});
+  });
+  while (!handler_started) std::this_thread::yield();
+  server.stop();
+  // stop() returned only after the busy worker's handler finished.
+  EXPECT_TRUE(handler_done);
+  busy.join();
+  EXPECT_LE(await_threads(threads_before), threads_before);
+  EXPECT_FALSE(held.call(1, {}).is_ok());
 }
 
 }  // namespace
