@@ -14,14 +14,12 @@
 
 namespace griddles::fault {
 
-/// Capped exponential backoff with a deadline and deterministic jitter.
+/// Capped exponential backoff with deterministic jitter.
 struct RetryPolicy {
   int max_attempts = 4;
   Duration initial_backoff = from_seconds_d(0.002);
   double multiplier = 2.0;
   Duration max_backoff = from_seconds_d(0.050);
-  /// Total budget across attempts; Duration::zero() means unbounded.
-  Duration deadline = Duration::zero();
 
   /// Transient codes worth retrying. kDataLoss is deliberately excluded:
   /// a verifiably-wrong payload needs a different source (failover or
@@ -39,11 +37,6 @@ struct RetryPolicy {
   /// in [0.5, 1.0) derived from mix(plan seed, jitter_key, attempt) — a
   /// pure function, so replays are byte-identical.
   Duration backoff(int attempt, std::uint64_t jitter_key) const;
-
-  /// True while `elapsed` leaves room for another attempt.
-  bool within_deadline(Duration elapsed) const noexcept {
-    return deadline == Duration::zero() || elapsed < deadline;
-  }
 };
 
 /// Bumps the process-wide `retry.attempts` counter (call once per retry,

@@ -8,6 +8,7 @@
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
+#include <functional>
 #include <optional>
 #include <thread>
 #include <vector>
@@ -143,31 +144,42 @@ bool chunk_retryable(ErrorCode code) {
          code == ErrorCode::kDataLoss;
 }
 
-/// Streaming FNV-1a of a local file (matches the server's kChecksum).
-Result<std::uint64_t> local_checksum(const std::string& path) {
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) return errno_status("open", path);
-  std::uint64_t hash = kFnv1aSeed;
-  Bytes buffer(1u << 20);
-  while (true) {
-    const ssize_t n = ::read(fd, buffer.data(), buffer.size());
+/// Reads `out.size()` bytes at `offset`; short only at end of file.
+Result<std::size_t> pread_full(int fd, MutableByteSpan out,
+                               std::uint64_t offset,
+                               const std::string& path) {
+  std::size_t got = 0;
+  while (got < out.size()) {
+    const ssize_t n = ::pread(fd, out.data() + got, out.size() - got,
+                              static_cast<off_t>(offset + got));
     if (n < 0) {
       if (errno == EINTR) continue;
-      ::close(fd);
-      return errno_status("read", path);
+      return errno_status("pread", path);
     }
     if (n == 0) break;
-    hash = fnv1a_update(hash, {buffer.data(), static_cast<std::size_t>(n)});
+    got += static_cast<std::size_t>(n);
   }
-  ::close(fd);
-  return hash;
+  return got;
 }
 
-/// Compares the local copy against the server's checksum; kDataLoss on
-/// any divergence. Only run while a fault plan is armed, keeping the
+/// Size and FNV-1a of a local file, as the server's kChecksum reports.
+struct Digest {
+  std::uint64_t bytes = 0;
+  std::uint64_t hash = 0;
+};
+
+Result<Digest> local_digest(const std::string& path) {
+  Digest digest;
+  GL_ASSIGN_OR_RETURN(digest.bytes, vfs::file_size(path));
+  GL_ASSIGN_OR_RETURN(digest.hash, vfs::hash_file(path));
+  return digest;
+}
+
+/// Compares a local file's digest against the server's checksum; kDataLoss
+/// on any divergence. Only run while a fault plan is armed, keeping the
 /// fault-free path free of the extra read-back.
 Status verify_transfer(net::RpcClient& rpc, const std::string& remote_path,
-                       const std::string& local_path) {
+                       const Digest& local) {
   xdr::Encoder enc;
   enc.put_string(remote_path);
   GL_ASSIGN_OR_RETURN(const Bytes reply,
@@ -175,17 +187,107 @@ Status verify_transfer(net::RpcClient& rpc, const std::string& remote_path,
   xdr::Decoder dec(reply);
   GL_ASSIGN_OR_RETURN(const std::uint64_t remote_hash, dec.u64());
   GL_ASSIGN_OR_RETURN(const std::uint64_t remote_bytes, dec.u64());
-  GL_ASSIGN_OR_RETURN(const std::uint64_t local_bytes,
-                      vfs::file_size(local_path));
-  GL_ASSIGN_OR_RETURN(const std::uint64_t local_hash,
-                      local_checksum(local_path));
-  if (local_bytes != remote_bytes || local_hash != remote_hash) {
+  if (local.bytes != remote_bytes || local.hash != remote_hash) {
     return data_loss(strings::cat(
         "copy verification failed for ", remote_path, ": local ",
-        local_bytes, "B/", local_hash, " vs remote ", remote_bytes, "B/",
+        local.bytes, "B/", local.hash, " vs remote ", remote_bytes, "B/",
         remote_hash));
   }
   return Status::ok();
+}
+
+/// The stream pool every copy runs on. Splits `size` bytes into
+/// `chunk_size` chunks and hands them out to up to `parallel_streams`
+/// workers. Worker s first calls `open_stream(s)` for its chunk mover, a
+/// `Status(offset, length)` callable that owns the stream's connection
+/// and buffer, then moves chunks, each under one `chunk_name` span. A
+/// chunk that fails retryably is moved again at the same offset while
+/// attempts, the deadline and `peer_key`'s retry budget last. Returns the
+/// first stream's failure; `streams_out` gets the stream count.
+template <typename OpenStream>
+Status run_streams(const FileCopier::Options& options, std::uint64_t size,
+                   const std::string& chunk_name, std::uint64_t peer_key,
+                   const OpenStream& open_stream, int* streams_out) {
+  const std::uint64_t chunk = options.chunk_size;
+  const std::uint64_t num_chunks = size == 0 ? 0 : (size + chunk - 1) / chunk;
+  const int streams = static_cast<int>(std::min<std::uint64_t>(
+      std::max(1, options.parallel_streams), std::max<std::uint64_t>(
+                                                 1, num_chunks)));
+
+  // lint: not-a-metric (work distribution)
+  std::atomic<std::uint64_t> next_chunk{0};
+  std::vector<Status> stream_status(static_cast<std::size_t>(streams),
+                                    Status::ok());
+  std::vector<std::thread> workers;
+  workers.reserve(static_cast<std::size_t>(streams));
+  const fault::RetryPolicy policy;
+  // Stream workers inherit the copy span so their chunk spans (and the
+  // RPC hops under them) land on this transfer's subtree; the ambient
+  // end-to-end budget rides along so chunk RPCs keep the deadline.
+  const obs::TraceContext trace_parent = obs::current_context();
+  const std::optional<WallClock::time_point> budget = current_deadline();
+  for (int s = 0; s < streams; ++s) {
+    workers.emplace_back([&, s, trace_parent, budget] {
+      obs::ScopedTraceContext trace_scope(trace_parent);
+      ScopedDeadline deadline_scope(budget);
+      auto move_chunk = open_stream(s);
+      while (true) {
+        const std::uint64_t index = next_chunk.fetch_add(1);
+        if (index >= num_chunks) return;
+        const std::uint64_t offset = index * chunk;
+        const std::size_t length = static_cast<std::size_t>(
+            std::min<std::uint64_t>(chunk, size - offset));
+        obs::Span chunk_span(obs::SpanKind::kChunk, chunk_name);
+        chunk_span.add_attr("offset", strings::cat(offset));
+        fault::RetryBudget::global().note_fresh(peer_key);
+        Status status = move_chunk(offset, length);
+        for (int attempt = 1;
+             !status.is_ok() && chunk_retryable(status.code()) &&
+             !deadline_expired() && attempt < policy.max_attempts &&
+             fault::RetryBudget::global().acquire(peer_key);
+             ++attempt) {
+          fault::note_retry_attempt();
+          fault::sleep_for_model(policy.backoff(attempt, peer_key + index));
+          status = move_chunk(offset, length);
+        }
+        if (!status.is_ok()) {
+          stream_status[static_cast<std::size_t>(s)] = status;
+          return;
+        }
+      }
+    });
+  }
+  for (std::thread& worker : workers) worker.join();
+  *streams_out = streams;
+  for (const Status& status : stream_status) GL_RETURN_IF_ERROR(status);
+  return Status::ok();
+}
+
+/// The whole-file retry loop: re-runs `attempt` after a retryable failure
+/// while attempts, the deadline and the peer's retry budget last. A failed
+/// verification (kDataLoss) counts as retryable, since the source is
+/// still intact. Each retry, backoff included, is a `copy.retry:` span.
+Status retry_whole_file(const std::string& remote_path, const char* what,
+                        const std::function<Status()>& attempt) {
+  const fault::RetryPolicy policy;
+  const std::uint64_t jitter_key = fnv1a(as_bytes_view(remote_path));
+  // emplace() records the previous retry's span and opens the next.
+  std::optional<obs::Span> retry_span;
+  for (int n = 1;; ++n) {
+    const Status status = attempt();
+    if (status.is_ok() || !chunk_retryable(status.code()) ||
+        n >= policy.max_attempts) {
+      return status;
+    }
+    GL_RETURN_IF_ERROR(check_deadline(what));
+    if (!fault::RetryBudget::global().acquire(jitter_key)) return status;
+    fault::note_retry_attempt();
+    retry_span.emplace(obs::SpanKind::kRetry,
+                       strings::cat("copy.retry:", remote_path));
+    retry_span->add_attr("attempt", strings::cat(n + 1));
+    retry_span->add_attr("error", status.message());
+    fault::sleep_for_model(policy.backoff(n, jitter_key));
+  }
 }
 }  // namespace
 
@@ -199,43 +301,21 @@ Result<CopyStats> FileCopier::fetch(const net::Endpoint& server,
   obs::Span copy_span(obs::SpanKind::kCopy,
                       strings::cat("copy.fetch:", remote_path));
   const Duration start = clock_.now();
-  const fault::RetryPolicy policy;
-  const std::uint64_t jitter_key = fnv1a(as_bytes_view(remote_path));
-  std::uint64_t bytes = 0;
-  int streams = 0;
-  // Whole-file re-fetches become child retry spans: emplace() records
-  // the previous attempt's span and opens the next (backoff + attempt).
-  std::optional<obs::Span> retry_span;
-  for (int attempt = 1;; ++attempt) {
-    const Status status =
-        fetch_attempt(server, remote_path, local_path, &bytes, &streams);
-    if (status.is_ok()) break;
-    // A failed verification (kDataLoss) is recoverable by re-fetching:
-    // the file is still intact on the server.
-    if (!chunk_retryable(status.code()) || attempt >= policy.max_attempts) {
-      return status;
-    }
-    GL_RETURN_IF_ERROR(check_deadline("copy.fetch retry"));
-    if (!fault::RetryBudget::global().acquire(jitter_key)) return status;
-    fault::note_retry_attempt();
-    retry_span.emplace(obs::SpanKind::kRetry,
-                       strings::cat("copy.retry:", remote_path));
-    retry_span->add_attr("attempt", strings::cat(attempt + 1));
-    retry_span->add_attr("error", status.message());
-    fault::sleep_for_model(policy.backoff(attempt, jitter_key));
-  }
-  const CopyStats stats{bytes, to_seconds_d(clock_.now() - start), streams};
+  CopyStats stats;
+  GL_RETURN_IF_ERROR(retry_whole_file(remote_path, "copy.fetch retry", [&] {
+    return fetch_once(server, remote_path, local_path, &stats);
+  }));
+  stats.seconds = to_seconds_d(clock_.now() - start);
   copy_span.add_attr("bytes", strings::cat(stats.bytes));
   copy_span.add_attr("streams", strings::cat(stats.streams_used));
   record_copy(stats);
   return stats;
 }
 
-Status FileCopier::fetch_attempt(const net::Endpoint& server,
-                                 const std::string& remote_path,
-                                 const std::string& local_path,
-                                 std::uint64_t* bytes_out,
-                                 int* streams_out) {
+Status FileCopier::fetch_once(const net::Endpoint& server,
+                              const std::string& remote_path,
+                              const std::string& local_path,
+                              CopyStats* stats) {
   net::RpcClient control(transport_, server);
   GL_ASSIGN_OR_RETURN(const std::uint64_t size,
                       remote_size(control, remote_path));
@@ -256,98 +336,50 @@ Status FileCopier::fetch_attempt(const net::Endpoint& server,
     return errno_status("ftruncate", local_path);
   }
 
-  const std::uint64_t chunk = options_.chunk_size;
-  const std::uint64_t num_chunks = size == 0 ? 0 : (size + chunk - 1) / chunk;
-  const int streams = static_cast<int>(std::min<std::uint64_t>(
-      std::max(1, options_.parallel_streams), std::max<std::uint64_t>(
-                                                  1, num_chunks)));
-
-  // lint: not-a-metric (work distribution)
-  std::atomic<std::uint64_t> next_chunk{0};
-  std::vector<Status> stream_status(static_cast<std::size_t>(streams),
-                                    Status::ok());
-  std::vector<std::thread> workers;
-  workers.reserve(static_cast<std::size_t>(streams));
-  const fault::RetryPolicy policy;
-  const std::uint64_t jitter_key = fnv1a(as_bytes_view(remote_path));
-  // Stream workers inherit the copy span so their chunk spans (and the
-  // RPC hops under them) land on this transfer's subtree; the ambient
-  // end-to-end budget rides along so chunk RPCs keep the deadline.
-  const obs::TraceContext trace_parent = obs::current_context();
-  const std::optional<WallClock::time_point> budget = current_deadline();
-  for (int s = 0; s < streams; ++s) {
-    workers.emplace_back([&, s, trace_parent, budget] {
-      obs::ScopedTraceContext trace_scope(trace_parent);
-      ScopedDeadline deadline_scope(budget);
-      net::RpcClient rpc(transport_, server);
-      const auto fetch_chunk = [&](std::uint64_t offset,
-                                   std::uint32_t length) -> Status {
-        xdr::Encoder enc;
-        enc.put_string(remote_path);
-        enc.put_u64(offset);
-        enc.put_u32(length);
-        GL_ASSIGN_OR_RETURN(
-            const Bytes reply,
-            rpc.call(method_id(Method::kGetChunk), enc.buffer()));
-        xdr::Decoder dec(reply);
-        auto data = dec.bytes();
-        if (!data.is_ok()) return data_loss("fetch: malformed chunk");
-        GL_RETURN_IF_ERROR(apply_copy_fault(remote_path, *data));
-        if (data->size() != length) {
-          return data_loss(strings::cat("fetch ", remote_path,
-                                        ": truncated chunk at offset ",
-                                        offset));
-        }
-        std::size_t put = 0;
-        while (put < data->size()) {
-          const ssize_t n =
-              ::pwrite(fd, data->data() + put, data->size() - put,
-                       static_cast<off_t>(offset + put));
-          if (n < 0) {
-            if (errno == EINTR) continue;
-            return errno_status("pwrite", local_path);
-          }
-          put += static_cast<std::size_t>(n);
-        }
-        return Status::ok();
-      };
-      while (true) {
-        const std::uint64_t index = next_chunk.fetch_add(1);
-        if (index >= num_chunks) return;
-        const std::uint64_t offset = index * chunk;
-        const std::uint32_t length = static_cast<std::uint32_t>(
-            std::min<std::uint64_t>(chunk, size - offset));
-        obs::Span chunk_span(obs::SpanKind::kChunk,
-                             strings::cat("chunk.fetch:", remote_path));
-        chunk_span.add_attr("offset", strings::cat(offset));
-        fault::RetryBudget::global().note_fresh(jitter_key);
-        // Offset-resumable: a bad chunk is simply re-requested (while
-        // the budget holds out and the peer's retry tokens last).
-        Status status = fetch_chunk(offset, length);
-        for (int attempt = 1;
-             !status.is_ok() && chunk_retryable(status.code()) &&
-             !deadline_expired() && attempt < policy.max_attempts &&
-             fault::RetryBudget::global().acquire(jitter_key);
-             ++attempt) {
-          fault::note_retry_attempt();
-          fault::sleep_for_model(policy.backoff(attempt, jitter_key + index));
-          status = fetch_chunk(offset, length);
-        }
-        if (!status.is_ok()) {
-          stream_status[static_cast<std::size_t>(s)] = status;
-          return;
-        }
+  const auto open_stream = [&](int) {
+    return [&, rpc = net::RpcClient(transport_, server)](
+               std::uint64_t offset, std::size_t length) mutable -> Status {
+      xdr::Encoder enc;
+      enc.put_string(remote_path);
+      enc.put_u64(offset);
+      enc.put_u32(static_cast<std::uint32_t>(length));
+      GL_ASSIGN_OR_RETURN(
+          const Bytes reply,
+          rpc.call(method_id(Method::kGetChunk), enc.buffer()));
+      xdr::Decoder dec(reply);
+      auto data = dec.bytes();
+      if (!data.is_ok()) return data_loss("fetch: malformed chunk");
+      GL_RETURN_IF_ERROR(apply_copy_fault(remote_path, *data));
+      if (data->size() != length) {
+        return data_loss(strings::cat("fetch ", remote_path,
+                                      ": truncated chunk at offset ",
+                                      offset));
       }
-    });
-  }
-  for (std::thread& worker : workers) worker.join();
+      std::size_t put = 0;
+      while (put < data->size()) {
+        const ssize_t n =
+            ::pwrite(fd, data->data() + put, data->size() - put,
+                     static_cast<off_t>(offset + put));
+        if (n < 0) {
+          if (errno == EINTR) continue;
+          return errno_status("pwrite", local_path);
+        }
+        put += static_cast<std::size_t>(n);
+      }
+      return Status::ok();
+    };
+  };
+  const Status fetched =
+      run_streams(options_, size, strings::cat("chunk.fetch:", remote_path),
+                  fnv1a(as_bytes_view(remote_path)), open_stream,
+                  &stats->streams_used);
   ::close(fd);
-  for (const Status& status : stream_status) GL_RETURN_IF_ERROR(status);
+  GL_RETURN_IF_ERROR(fetched);
   if (fault::armed() != nullptr) {
-    GL_RETURN_IF_ERROR(verify_transfer(control, remote_path, local_path));
+    GL_ASSIGN_OR_RETURN(const Digest local, local_digest(local_path));
+    GL_RETURN_IF_ERROR(verify_transfer(control, remote_path, local));
   }
-  *bytes_out = size;
-  *streams_out = streams;
+  stats->bytes = size;
   return Status::ok();
 }
 
@@ -357,41 +389,81 @@ Result<CopyStats> FileCopier::push(const std::string& local_path,
   obs::Span copy_span(obs::SpanKind::kCopy,
                       strings::cat("copy.push:", remote_path));
   const Duration start = clock_.now();
-  std::uint64_t bytes = 0;
-  int streams = 0;
-  GL_RETURN_IF_ERROR(
-      push_with_retries(local_path, server, remote_path, &bytes, &streams));
-  const CopyStats stats{bytes, to_seconds_d(clock_.now() - start), streams};
+  CopyStats stats;
+  GL_RETURN_IF_ERROR(retry_whole_file(remote_path, "copy.push retry", [&] {
+    return push_once(local_path, server, remote_path, &stats);
+  }));
+  stats.seconds = to_seconds_d(clock_.now() - start);
   copy_span.add_attr("bytes", strings::cat(stats.bytes));
   copy_span.add_attr("streams", strings::cat(stats.streams_used));
   record_copy(stats);
   return stats;
 }
 
-Status FileCopier::push_with_retries(const std::string& local_path,
-                                     const net::Endpoint& server,
-                                     const std::string& remote_path,
-                                     std::uint64_t* bytes_out,
-                                     int* streams_out) {
-  const fault::RetryPolicy policy;
-  const std::uint64_t jitter_key = fnv1a(as_bytes_view(remote_path));
-  std::optional<obs::Span> retry_span;  // see fetch()
-  for (int attempt = 1;; ++attempt) {
-    const Status status = push_attempt(local_path, server, remote_path,
-                                       bytes_out, streams_out);
-    if (status.is_ok()) return status;
-    if (!chunk_retryable(status.code()) || attempt >= policy.max_attempts) {
-      return status;
+Status FileCopier::push_once(const std::string& local_path,
+                             const net::Endpoint& server,
+                             const std::string& remote_path,
+                             CopyStats* stats) {
+  GL_ASSIGN_OR_RETURN(const std::uint64_t size, vfs::file_size(local_path));
+  const int fd = ::open(local_path.c_str(), O_RDONLY);
+  if (fd < 0) return errno_status("open", local_path);
+
+  // Create/truncate the destination before the parallel phase.
+  net::RpcClient control(transport_, server);
+  {
+    xdr::Encoder enc;
+    enc.put_string(remote_path);
+    enc.put_u64(0);
+    enc.put_bool(true);  // truncate to offset 0
+    enc.put_bytes({});
+    auto reply = control.call(method_id(Method::kPutChunk), enc.buffer());
+    if (!reply.is_ok()) {
+      ::close(fd);
+      return reply.status();
     }
-    GL_RETURN_IF_ERROR(check_deadline("copy.push retry"));
-    if (!fault::RetryBudget::global().acquire(jitter_key)) return status;
-    fault::note_retry_attempt();
-    retry_span.emplace(obs::SpanKind::kRetry,
-                       strings::cat("copy.retry:", remote_path));
-    retry_span->add_attr("attempt", strings::cat(attempt + 1));
-    retry_span->add_attr("error", status.message());
-    fault::sleep_for_model(policy.backoff(attempt, jitter_key));
   }
+
+  const auto open_stream = [&](int) {
+    return [&, rpc = net::RpcClient(transport_, server),
+            buffer = Bytes(options_.chunk_size)](
+               std::uint64_t offset, std::size_t length) mutable -> Status {
+      GL_ASSIGN_OR_RETURN(
+          const std::size_t got,
+          pread_full(fd, {buffer.data(), length}, offset, local_path));
+      Bytes data(buffer.begin(),
+                 buffer.begin() + static_cast<std::ptrdiff_t>(got));
+      GL_RETURN_IF_ERROR(apply_copy_fault(remote_path, data));
+      xdr::Encoder enc;
+      enc.put_string(remote_path);
+      enc.put_u64(offset);
+      enc.put_bool(false);
+      enc.put_bytes(data);
+      GL_ASSIGN_OR_RETURN(
+          const Bytes reply,
+          rpc.call(method_id(Method::kPutChunk), enc.buffer()));
+      (void)reply;
+      // A mutated payload leaves a hole or garbage at this offset; the
+      // post-push verification pass catches it and re-pushes.
+      if (data.size() != got) {
+        return data_loss(strings::cat("push ", remote_path,
+                                      ": truncated chunk at offset ",
+                                      offset));
+      }
+      return Status::ok();
+    };
+  };
+  const Status pushed =
+      run_streams(options_, size, strings::cat("chunk.push:", remote_path),
+                  fnv1a(as_bytes_view(remote_path)), open_stream,
+                  &stats->streams_used);
+  ::close(fd);
+  GL_RETURN_IF_ERROR(pushed);
+  if (fault::armed() != nullptr) {
+    GL_ASSIGN_OR_RETURN(const Digest local, local_digest(local_path));
+    GL_RETURN_IF_ERROR(verify_transfer(control, remote_path, local));
+  }
+  stats->bytes = size;
+  return Status::ok();
 }
 
 Result<MultiCopyStats> FileCopier::copy_to_many(
@@ -519,69 +591,49 @@ Result<MultiCopyStats> FileCopier::copy_to_many(
 
   const int fd = ::open(local_path.c_str(), O_RDONLY);
   if (fd < 0) return errno_status("open", local_path);
-  const std::uint64_t chunk = options_.chunk_size;
-  const std::uint64_t num_chunks = size == 0 ? 0 : (size + chunk - 1) / chunk;
-  const int streams = static_cast<int>(std::min<std::uint64_t>(
-      std::max(1, options_.parallel_streams), std::max<std::uint64_t>(
-                                                  1, num_chunks)));
-
-  // lint: not-a-metric (work distribution)
-  std::atomic<std::uint64_t> next_chunk{0};
-  std::vector<Status> stream_status(static_cast<std::size_t>(streams),
-                                    Status::ok());
   std::vector<std::vector<std::string>> stream_dead(
-      static_cast<std::size_t>(streams));
-  std::vector<std::thread> workers;
-  workers.reserve(static_cast<std::size_t>(streams));
-  const obs::TraceContext trace_parent = obs::current_context();
-  const std::optional<WallClock::time_point> budget = current_deadline();
-  for (int s = 0; s < streams; ++s) {
-    workers.emplace_back([&, s, trace_parent, budget] {
-      obs::ScopedTraceContext trace_scope(trace_parent);
-      ScopedDeadline deadline_scope(budget);
-      // One forwarder — one connection per tree edge — per stream keeps
-      // the streams parallel, as with push()'s per-stream RpcClient.
-      multicast::RelayForwarder forwarder(transport_);
-      Bytes buffer(chunk);
-      while (true) {
-        const std::uint64_t index = next_chunk.fetch_add(1);
-        if (index >= num_chunks) return;
-        const std::uint64_t offset = index * chunk;
-        const std::size_t length = static_cast<std::size_t>(
-            std::min<std::uint64_t>(chunk, size - offset));
-        std::size_t got = 0;
-        while (got < length) {
-          const ssize_t n = ::pread(fd, buffer.data() + got, length - got,
-                                    static_cast<off_t>(offset + got));
-          if (n < 0) {
-            if (errno == EINTR) continue;
-            stream_status[static_cast<std::size_t>(s)] =
-                errno_status("pread", local_path);
-            return;
-          }
-          if (n == 0) break;
-          got += static_cast<std::size_t>(n);
-        }
-        const ByteSpan data{buffer.data(), got};
-        obs::Span chunk_span(obs::SpanKind::kChunk,
-                             strings::cat("chunk.multicast:", local_path));
-        chunk_span.add_attr("offset", strings::cat(offset));
-        multicast::relay_block(
-            forwarder, first_hops, method_id(Method::kRelayChunk),
-            [&](const multicast::RelayNode& child) {
-              source_bytes.fetch_add(got, std::memory_order_relaxed);
-              return relay_chunk_request(child, offset, false, data);
-            },
-            stream_dead[static_cast<std::size_t>(s)]);
-      }
-    });
-  }
-  for (std::thread& worker : workers) worker.join();
+      static_cast<std::size_t>(std::max(1, options_.parallel_streams)));
+  // One forwarder — one connection per tree edge — per stream keeps the
+  // streams parallel, as with push()'s per-stream RpcClient. Relay
+  // chunks skip the copy fault site: relays have their own.
+  const auto open_stream = [&](int s) {
+    return [&, s, forwarder = multicast::RelayForwarder(transport_),
+            buffer = Bytes(options_.chunk_size)](
+               std::uint64_t offset, std::size_t length) mutable -> Status {
+      GL_ASSIGN_OR_RETURN(
+          const std::size_t got,
+          pread_full(fd, {buffer.data(), length}, offset, local_path));
+      const ByteSpan data{buffer.data(), got};
+      multicast::relay_block(
+          forwarder, first_hops, method_id(Method::kRelayChunk),
+          [&](const multicast::RelayNode& child) {
+            source_bytes.fetch_add(got, std::memory_order_relaxed);
+            return relay_chunk_request(child, offset, false, data);
+          },
+          stream_dead[static_cast<std::size_t>(s)]);
+      return Status::ok();
+    };
+  };
+  int streams = 0;
+  const Status sent =
+      run_streams(options_, size, strings::cat("chunk.multicast:", local_path),
+                  fnv1a(as_bytes_view(local_path)), open_stream, &streams);
   ::close(fd);
-  for (const Status& status : stream_status) GL_RETURN_IF_ERROR(status);
+  GL_RETURN_IF_ERROR(sent);
   for (const std::vector<std::string>& dead : stream_dead) {
     dead_hosts.insert(dead.begin(), dead.end());
   }
+
+  // Repairs re-push one destination straight from the source, under the
+  // same whole-file retry loop as push() but with no span or sample of
+  // their own: they belong to this one logical copy.
+  const auto repush = [&](const MultiCopyTarget& target) {
+    CopyStats repaired;
+    return retry_whole_file(target.remote_path, "copy.push retry", [&] {
+      return push_once(local_path, target.endpoint, target.remote_path,
+                       &repaired);
+    });
+  };
 
   // Every destination a dead relay left behind gets the whole file
   // directly from the source — the tree already saved the bytes for
@@ -592,32 +644,25 @@ Result<MultiCopyStats> FileCopier::copy_to_many(
     const MultiCopyTarget& target = *it->second;
     GL_LOG(kWarn, "copy_to_many: relay path to ", host,
            " failed; repairing with a direct re-push");
-    std::uint64_t repaired_bytes = 0;
-    int repaired_streams = 0;
-    GL_RETURN_IF_ERROR(push_with_retries(local_path, target.endpoint,
-                                         target.remote_path, &repaired_bytes,
-                                         &repaired_streams));
+    GL_RETURN_IF_ERROR(repush(target));
     source_bytes.fetch_add(size, std::memory_order_relaxed);
     ++stats.reparents;
   }
 
   // Same discipline as fetch()/push(): with a fault plan armed, every
-  // destination is checksum-verified and re-pushed on divergence.
+  // destination is checksum-verified and re-pushed on divergence. The
+  // source is hashed once for all of them.
   if (fault::armed() != nullptr) {
+    GL_ASSIGN_OR_RETURN(const Digest source, local_digest(local_path));
     for (const MultiCopyTarget& target : targets) {
       net::RpcClient control(transport_, target.endpoint);
-      const Status verified =
-          verify_transfer(control, target.remote_path, local_path);
-      if (verified.is_ok()) continue;
-      std::uint64_t repaired_bytes = 0;
-      int repaired_streams = 0;
-      GL_RETURN_IF_ERROR(push_with_retries(local_path, target.endpoint,
-                                           target.remote_path,
-                                           &repaired_bytes,
-                                           &repaired_streams));
+      if (verify_transfer(control, target.remote_path, source).is_ok()) {
+        continue;
+      }
+      GL_RETURN_IF_ERROR(repush(target));
       source_bytes.fetch_add(size, std::memory_order_relaxed);
       GL_RETURN_IF_ERROR(
-          verify_transfer(control, target.remote_path, local_path));
+          verify_transfer(control, target.remote_path, source));
     }
   }
 
@@ -633,123 +678,6 @@ Result<MultiCopyStats> FileCopier::copy_to_many(
   // ONE logical copy: one bytes/seconds sample for the whole fan-out.
   record_copy(CopyStats{size, stats.seconds, streams});
   return stats;
-}
-
-Status FileCopier::push_attempt(const std::string& local_path,
-                                const net::Endpoint& server,
-                                const std::string& remote_path,
-                                std::uint64_t* bytes_out, int* streams_out) {
-  GL_ASSIGN_OR_RETURN(const std::uint64_t size, vfs::file_size(local_path));
-  const int fd = ::open(local_path.c_str(), O_RDONLY);
-  if (fd < 0) return errno_status("open", local_path);
-
-  // Create/truncate the destination before the parallel phase.
-  net::RpcClient control(transport_, server);
-  {
-    xdr::Encoder enc;
-    enc.put_string(remote_path);
-    enc.put_u64(0);
-    enc.put_bool(true);  // truncate to offset 0
-    enc.put_bytes({});
-    auto reply = control.call(method_id(Method::kPutChunk), enc.buffer());
-    if (!reply.is_ok()) {
-      ::close(fd);
-      return reply.status();
-    }
-  }
-
-  const std::uint64_t chunk = options_.chunk_size;
-  const std::uint64_t num_chunks = size == 0 ? 0 : (size + chunk - 1) / chunk;
-  const int streams = static_cast<int>(std::min<std::uint64_t>(
-      std::max(1, options_.parallel_streams), std::max<std::uint64_t>(
-                                                  1, num_chunks)));
-
-  // lint: not-a-metric (work distribution)
-  std::atomic<std::uint64_t> next_chunk{0};
-  std::vector<Status> stream_status(static_cast<std::size_t>(streams),
-                                    Status::ok());
-  std::vector<std::thread> workers;
-  workers.reserve(static_cast<std::size_t>(streams));
-  const fault::RetryPolicy policy;
-  const std::uint64_t jitter_key = fnv1a(as_bytes_view(remote_path));
-  const obs::TraceContext trace_parent = obs::current_context();
-  const std::optional<WallClock::time_point> budget = current_deadline();
-  for (int s = 0; s < streams; ++s) {
-    workers.emplace_back([&, s, trace_parent, budget] {
-      obs::ScopedTraceContext trace_scope(trace_parent);
-      ScopedDeadline deadline_scope(budget);
-      net::RpcClient rpc(transport_, server);
-      Bytes buffer(chunk);
-      const auto push_chunk = [&](std::uint64_t offset,
-                                  std::size_t length) -> Status {
-        std::size_t got = 0;
-        while (got < length) {
-          const ssize_t n = ::pread(fd, buffer.data() + got, length - got,
-                                    static_cast<off_t>(offset + got));
-          if (n < 0) {
-            if (errno == EINTR) continue;
-            return errno_status("pread", local_path);
-          }
-          if (n == 0) break;
-          got += static_cast<std::size_t>(n);
-        }
-        Bytes data(buffer.begin(),
-                   buffer.begin() + static_cast<std::ptrdiff_t>(got));
-        GL_RETURN_IF_ERROR(apply_copy_fault(remote_path, data));
-        xdr::Encoder enc;
-        enc.put_string(remote_path);
-        enc.put_u64(offset);
-        enc.put_bool(false);
-        enc.put_bytes(data);
-        GL_ASSIGN_OR_RETURN(
-            const Bytes reply,
-            rpc.call(method_id(Method::kPutChunk), enc.buffer()));
-        (void)reply;
-        // A mutated payload leaves a hole or garbage at this offset; the
-        // post-push verification pass catches it and re-pushes.
-        if (data.size() != got) {
-          return data_loss(strings::cat("push ", remote_path,
-                                        ": truncated chunk at offset ",
-                                        offset));
-        }
-        return Status::ok();
-      };
-      while (true) {
-        const std::uint64_t index = next_chunk.fetch_add(1);
-        if (index >= num_chunks) return;
-        const std::uint64_t offset = index * chunk;
-        const std::size_t length = static_cast<std::size_t>(
-            std::min<std::uint64_t>(chunk, size - offset));
-        obs::Span chunk_span(obs::SpanKind::kChunk,
-                             strings::cat("chunk.push:", remote_path));
-        chunk_span.add_attr("offset", strings::cat(offset));
-        fault::RetryBudget::global().note_fresh(jitter_key);
-        Status status = push_chunk(offset, length);
-        for (int attempt = 1;
-             !status.is_ok() && chunk_retryable(status.code()) &&
-             !deadline_expired() && attempt < policy.max_attempts &&
-             fault::RetryBudget::global().acquire(jitter_key);
-             ++attempt) {
-          fault::note_retry_attempt();
-          fault::sleep_for_model(policy.backoff(attempt, jitter_key + index));
-          status = push_chunk(offset, length);
-        }
-        if (!status.is_ok()) {
-          stream_status[static_cast<std::size_t>(s)] = status;
-          return;
-        }
-      }
-    });
-  }
-  for (std::thread& worker : workers) worker.join();
-  ::close(fd);
-  for (const Status& status : stream_status) GL_RETURN_IF_ERROR(status);
-  if (fault::armed() != nullptr) {
-    GL_RETURN_IF_ERROR(verify_transfer(control, remote_path, local_path));
-  }
-  *bytes_out = size;
-  *streams_out = streams;
-  return Status::ok();
 }
 
 }  // namespace griddles::remote

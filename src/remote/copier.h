@@ -96,22 +96,15 @@ class FileCopier {
       const multicast::PairEstimator& estimator);
 
  private:
-  /// One whole-file attempt; `bytes_out` reports the payload size.
-  Status fetch_attempt(const net::Endpoint& server,
-                       const std::string& remote_path,
-                       const std::string& local_path,
-                       std::uint64_t* bytes_out, int* streams_out);
-  Status push_attempt(const std::string& local_path,
-                      const net::Endpoint& server,
-                      const std::string& remote_path,
-                      std::uint64_t* bytes_out, int* streams_out);
-  /// push()'s whole-file retry loop without the copy span or metrics —
-  /// shared with copy_to_many's dead-host repair path, which must not
-  /// double-count `remote.copy.*` for the same logical transfer.
-  Status push_with_retries(const std::string& local_path,
-                           const net::Endpoint& server,
-                           const std::string& remote_path,
-                           std::uint64_t* bytes_out, int* streams_out);
+  /// One whole-file attempt each: set-up, the stream pool, teardown and,
+  /// with a fault plan armed, checksum verification. They fill `stats`'
+  /// bytes and streams_used; the callers own the retry loop, the copy
+  /// span and the `remote.copy.*` sample.
+  Status fetch_once(const net::Endpoint& server,
+                    const std::string& remote_path,
+                    const std::string& local_path, CopyStats* stats);
+  Status push_once(const std::string& local_path, const net::Endpoint& server,
+                   const std::string& remote_path, CopyStats* stats);
 
   net::Transport& transport_;
   Clock& clock_;

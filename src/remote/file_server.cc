@@ -394,10 +394,11 @@ Result<Bytes> FileServer::handle_checksum(ByteSpan request) {
   xdr::Decoder dec(request);
   GL_ASSIGN_OR_RETURN(const std::string path, dec.string());
   GL_ASSIGN_OR_RETURN(const fs::path full, resolve(path));
-  GL_ASSIGN_OR_RETURN(const Bytes contents, vfs::read_file(full.string()));
+  GL_ASSIGN_OR_RETURN(const std::uint64_t size, vfs::file_size(full.string()));
+  GL_ASSIGN_OR_RETURN(const std::uint64_t hash, vfs::hash_file(full.string()));
   xdr::Encoder enc;
-  enc.put_u64(fnv1a(contents));
-  enc.put_u64(contents.size());
+  enc.put_u64(hash);
+  enc.put_u64(size);
   return std::move(enc).take();
 }
 

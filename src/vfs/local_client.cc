@@ -162,4 +162,23 @@ Result<std::uint64_t> file_size(const std::string& path) {
   return static_cast<std::uint64_t>(st.st_size);
 }
 
+Result<std::uint64_t> hash_file(const std::string& path) {
+  const int fd = ::open(path.c_str(), O_RDONLY);
+  if (fd < 0) return errno_status("open", path);
+  std::uint64_t hash = kFnv1aSeed;
+  Bytes buffer(1u << 20);
+  while (true) {
+    const ssize_t n = ::read(fd, buffer.data(), buffer.size());
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      ::close(fd);
+      return errno_status("read", path);
+    }
+    if (n == 0) break;
+    hash = fnv1a_update(hash, {buffer.data(), static_cast<std::size_t>(n)});
+  }
+  ::close(fd);
+  return hash;
+}
+
 }  // namespace griddles::vfs

@@ -52,4 +52,9 @@ Status write_file(const std::string& path, ByteSpan data);
 /// Size of a local file.
 Result<std::uint64_t> file_size(const std::string& path);
 
+/// Streaming FNV-1a of a local file's contents (fnv1a() of the whole
+/// file), read a bounded buffer at a time so memory stays flat for any
+/// file size.
+Result<std::uint64_t> hash_file(const std::string& path);
+
 }  // namespace griddles::vfs

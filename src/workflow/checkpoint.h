@@ -55,10 +55,6 @@ struct CopyRecord {
   std::uint64_t dest_hash = 0;
 };
 
-/// Streaming FNV-1a of a file's contents (the journal's output hash and
-/// the resume-time validation primitive).
-Result<std::uint64_t> hash_file(const std::string& path);
-
 class CheckpointLog {
  public:
   /// Opens (creating if absent) the journal at `path`, replays every

@@ -71,7 +71,7 @@ Result<StageRecord> make_stage_record(
   for (const apps::StreamSpec& out : task.kernel.outputs) {
     GL_ASSIGN_OR_RETURN(
         const std::uint64_t hash,
-        hash_file(canonical_in(dirs.at(task.machine), out.path)));
+        vfs::hash_file(canonical_in(dirs.at(task.machine), out.path)));
     record.outputs.emplace_back(out.path, hash);
   }
   return record;
@@ -84,7 +84,7 @@ bool stage_outputs_valid(const StageRecord& record,
   const auto dir = dirs.find(record.machine);
   if (dir == dirs.end()) return false;
   for (const auto& [path, hash] : record.outputs) {
-    const auto on_disk = hash_file(canonical_in(dir->second, path));
+    const auto on_disk = vfs::hash_file(canonical_in(dir->second, path));
     if (!on_disk.is_ok() || *on_disk != hash) return false;
   }
   return true;
@@ -320,7 +320,7 @@ Result<WorkflowReport> WorkflowRunner::run(const WorkflowSpec& spec,
             const CopyRecord* copied = ctx.checkpoint->copy(
                 edge.path, producer.machine, destination);
             if (copied != nullptr) {
-              const auto on_disk = hash_file(
+              const auto on_disk = vfs::hash_file(
                   canonical_in(ctx.dirs.at(destination), edge.path));
               if (on_disk.is_ok() && *on_disk == copied->dest_hash) {
                 checkpoint_copy_skipped_counter().add();
@@ -353,7 +353,7 @@ Result<WorkflowReport> WorkflowRunner::run(const WorkflowSpec& spec,
             const CopyResult& copy = report.copies[i];
             GL_ASSIGN_OR_RETURN(
                 const std::uint64_t dest_hash,
-                hash_file(canonical_in(ctx.dirs.at(copy.to), edge.path)));
+                vfs::hash_file(canonical_in(ctx.dirs.at(copy.to), edge.path)));
             GL_RETURN_IF_ERROR(ctx.checkpoint->append_copy(
                 CopyRecord{copy.path, copy.from, copy.to, copy.finished_s,
                            copy.seconds, dest_hash}));

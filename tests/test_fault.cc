@@ -17,6 +17,8 @@
 #include "src/gridbuffer/server.h"
 #include "src/net/inproc.h"
 #include "src/obs/metrics.h"
+#include "src/obs/span.h"
+#include "src/remote/copier.h"
 #include "src/remote/file_server.h"
 #include "src/replica/catalog.h"
 #include "src/vfs/local_client.h"
@@ -228,14 +230,6 @@ TEST(RetryPolicyTest, BackoffIsCappedJitteredAndDeterministic) {
   EXPECT_FALSE(RetryPolicy::retryable(ErrorCode::kInvalidArgument));
 }
 
-TEST(RetryPolicyTest, DeadlineBoundsRetries) {
-  RetryPolicy policy;
-  EXPECT_TRUE(policy.within_deadline(from_seconds_d(100)));  // no deadline
-  policy.deadline = from_seconds_d(0.5);
-  EXPECT_TRUE(policy.within_deadline(from_seconds_d(0.4)));
-  EXPECT_FALSE(policy.within_deadline(from_seconds_d(0.6)));
-}
-
 Bytes pattern(std::size_t n, unsigned seed = 1) {
   Bytes out(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -324,6 +318,36 @@ class FaultFmTest : public ::testing::Test {
     }
     EXPECT_TRUE(fm->close(*fd).is_ok());
     return got;
+  }
+
+  /// Pushes `data` from a local file to `remote_path` on dione with
+  /// `spec` armed, checks the delivered bytes, and returns how many
+  /// whole-file `copy.retry:` spans the push opened.
+  std::ptrdiff_t push_under_plan(const Bytes& data,
+                                 const std::string& remote_path,
+                                 const std::string& spec) {
+    const std::string local = dir_.file("push-src.bin").string();
+    EXPECT_TRUE(vfs::write_file(local, data).is_ok());
+    obs::SpanCollector::global().enable(true);
+    (void)obs::SpanCollector::global().drain();
+    {
+      ArmedPlan armed(spec);
+      auto transport = network_.transport("jagan");
+      remote::FileCopier copier(*transport, clock_);
+      auto stats = copier.push(local, file_server_.endpoint(), remote_path);
+      EXPECT_TRUE(stats.is_ok()) << stats.status();
+    }
+    const std::vector<obs::SpanRecord> spans =
+        obs::SpanCollector::global().drain();
+    obs::SpanCollector::global().enable(false);
+    EXPECT_EQ(
+        vfs::read_file((file_server_.root() / remote_path).string()).value(),
+        data);
+    return std::count_if(
+        spans.begin(), spans.end(), [](const obs::SpanRecord& span) {
+          return span.kind == obs::SpanKind::kRetry &&
+                 span.name.starts_with("copy.retry:");
+        });
   }
 
   TempDir dir_;
@@ -415,6 +439,26 @@ TEST_F(FaultFmTest, ChecksumCatchesMidFileByteRangeCorruption) {
       "seed=5;corrupt@copy:range.bin:nth=1,offset=150000,len=64");
   auto fm = make_fm("jagan");
   EXPECT_EQ(read_all(fm, "range.dat"), data);
+  EXPECT_EQ(counter_value("fault.injected.corrupt"), 1u);
+  EXPECT_GE(counter_value("retry.attempts"), 1u);
+}
+
+TEST_F(FaultFmTest, StagedPushResendsTruncatedChunk) {
+  // A short chunk fails the length check and is resent at its offset;
+  // the whole file is never re-pushed.
+  EXPECT_EQ(push_under_plan(pattern(70000, 21), "pushed.bin",
+                            "seed=5;truncate@copy:pushed.bin:nth=1"),
+            0);
+  EXPECT_EQ(counter_value("fault.injected.truncate"), 1u);
+  EXPECT_GE(counter_value("retry.attempts"), 1u);
+}
+
+TEST_F(FaultFmTest, StagedPushChecksumCatchesCorruptionAndRepushes) {
+  // A corrupted chunk arrives at full length, so only the whole-file
+  // checksum catches it: exactly one whole-file re-push.
+  EXPECT_EQ(push_under_plan(pattern(200000, 23), "corrupted.bin",
+                            "seed=5;corrupt@copy:corrupted.bin:nth=1"),
+            1);
   EXPECT_EQ(counter_value("fault.injected.corrupt"), 1u);
   EXPECT_GE(counter_value("retry.attempts"), 1u);
 }

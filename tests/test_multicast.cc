@@ -263,9 +263,9 @@ TEST_F(MulticastCopyTest, DeliversToEveryDestinationThroughRelays) {
   // The multicast headline: the source pushes each block once per root
   // child (root_fanout = 2), not once per destination.
   EXPECT_EQ(stats->source_bytes_sent, 2 * kSize);
-  const std::uint64_t want = *workflow::hash_file(local);
+  const std::uint64_t want = *vfs::hash_file(local);
   for (int i = 0; i < kHosts; ++i) {
-    EXPECT_EQ(*workflow::hash_file(delivered(i)), want) << host_name(i);
+    EXPECT_EQ(*vfs::hash_file(delivered(i)), want) << host_name(i);
   }
 }
 
@@ -299,8 +299,8 @@ TEST_F(MulticastCopyTest, SingleDestinationMatchesPlainPush) {
   EXPECT_EQ(counter_value("advisor.decisions.copy") +
                 counter_value("advisor.decisions.proxy"),
             advice_before);
-  EXPECT_EQ(*workflow::hash_file(delivered(0)),
-            *workflow::hash_file(local));
+  EXPECT_EQ(*vfs::hash_file(delivered(0)),
+            *vfs::hash_file(local));
 }
 
 TEST_F(MulticastCopyTest, DuplicateDestinationsCollapse) {
@@ -313,8 +313,8 @@ TEST_F(MulticastCopyTest, DuplicateDestinationsCollapse) {
   ASSERT_TRUE(stats.is_ok()) << stats.status();
   EXPECT_EQ(stats->destinations, 1);
   EXPECT_EQ(counter_value("multicast.duplicates"), dups_before + 1);
-  EXPECT_EQ(*workflow::hash_file(delivered(0)),
-            *workflow::hash_file(local));
+  EXPECT_EQ(*vfs::hash_file(delivered(0)),
+            *vfs::hash_file(local));
 }
 
 TEST_F(MulticastCopyTest, SameHostDifferentPathRejected) {
@@ -350,7 +350,7 @@ TEST_F(MulticastCopyTest, OneAdvisorDecisionPerDistribution) {
 TEST_F(MulticastCopyTest, KillingEachInteriorRelayStillDelivers) {
   constexpr std::size_t kSize = 512 * 1024 + 11;
   const std::string local = make_source(kSize);
-  const std::uint64_t want = *workflow::hash_file(local);
+  const std::uint64_t want = *vfs::hash_file(local);
 
   // Plan the same tree copy_to_many will (same inputs, deterministic
   // planner) to learn which hosts serve as interior relays.
@@ -382,7 +382,7 @@ TEST_F(MulticastCopyTest, KillingEachInteriorRelayStillDelivers) {
     // Every destination — including the dead relay itself, repaired with
     // a direct push — holds the full file.
     for (int i = 0; i < kHosts; ++i) {
-      EXPECT_EQ(*workflow::hash_file(delivered(i)), want) << host_name(i);
+      EXPECT_EQ(*vfs::hash_file(delivered(i)), want) << host_name(i);
     }
   }
 }

@@ -328,10 +328,10 @@ TEST(CheckpointLogTest, HashFileMatchesInMemoryFnv) {
   Bytes data;
   for (int i = 0; i < 70000; ++i) data.push_back(std::byte(i % 251));
   ASSERT_TRUE(vfs::write_file(path, data).is_ok());
-  auto hash = workflow::hash_file(path);
+  auto hash = vfs::hash_file(path);
   ASSERT_TRUE(hash.is_ok());
   EXPECT_EQ(*hash, fnv1a(data));
-  EXPECT_FALSE(workflow::hash_file(path + ".missing").is_ok());
+  EXPECT_FALSE(vfs::hash_file(path + ".missing").is_ok());
 }
 
 TEST(CheckpointLogTest, TornTailIsTruncatedAndJournalStaysAppendable) {

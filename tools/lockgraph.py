@@ -74,7 +74,7 @@ GENERIC_METHODS = {
 SLEEP_METHODS = {"sleep_for", "sleep_until", "sleep_for_model"}
 CV_WAIT_METHODS = {"wait", "wait_until"}
 RPC_METHODS = {"call", "call_until"}
-COPIER_METHODS = {"fetch", "push", "fetch_attempt", "push_attempt"}
+COPIER_METHODS = {"fetch", "push", "fetch_once", "push_once"}
 
 BLOCKING_OK = re.compile(r"//\s*lint:\s*blocking-ok\b")
 
