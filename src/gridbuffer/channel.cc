@@ -89,20 +89,23 @@ std::uint64_t Channel::min_consumed_locked() const {
   return lowest;
 }
 
+void Channel::drop_block_locked(
+    std::unordered_map<std::uint64_t, Bytes>::iterator it) {
+  table_bytes_ -= it->second.size();
+  GbMetrics::get().bytes_buffered.sub(
+      static_cast<std::int64_t>(it->second.size()));
+  GbMetrics::get().blocks_buffered.sub(1);
+  GbMetrics::get().blocks_evicted.add();
+  blocks_.erase(it);
+}
+
 void Channel::evict_locked() {
   const std::uint64_t safe = min_consumed_locked();
   auto it = block_sizes_.lower_bound(evicted_upto_);
   while (it != block_sizes_.end() &&
          it->first + it->second <= safe) {
     const auto block = blocks_.find(it->first);
-    if (block != blocks_.end()) {
-      table_bytes_ -= block->second.size();
-      GbMetrics::get().bytes_buffered.sub(
-          static_cast<std::int64_t>(block->second.size()));
-      GbMetrics::get().blocks_buffered.sub(1);
-      GbMetrics::get().blocks_evicted.add();
-      blocks_.erase(block);
-    }
+    if (block != blocks_.end()) drop_block_locked(block);
     evicted_upto_ = it->first + it->second;
     ++it;
   }
@@ -132,16 +135,15 @@ Status Channel::cache_write_locked(std::uint64_t offset, ByteSpan data) {
   return Status::ok();
 }
 
-Result<Bytes> Channel::cache_read_locked(std::uint64_t offset,
-                                         std::uint32_t length) const {
+Result<std::size_t> Channel::cache_read_locked(std::uint64_t offset,
+                                               MutableByteSpan out) const {
   if (cache_fd_ < 0) {
     return out_of_range(
         strings::cat("channel ", name_, ": block evicted and no cache file"));
   }
-  Bytes out(length);
   std::size_t got = 0;
-  while (got < length) {
-    const ssize_t n = ::pread(cache_fd_, out.data() + got, length - got,
+  while (got < out.size()) {
+    const ssize_t n = ::pread(cache_fd_, out.data() + got, out.size() - got,
                               static_cast<off_t>(offset + got));
     if (n < 0) {
       if (errno == EINTR) continue;
@@ -151,8 +153,7 @@ Result<Bytes> Channel::cache_read_locked(std::uint64_t offset,
     if (n == 0) break;
     got += static_cast<std::size_t>(n);
   }
-  out.resize(got);
-  return out;
+  return got;
 }
 
 Status Channel::write(std::uint64_t offset, ByteSpan data) {
@@ -237,16 +238,12 @@ Status Channel::write(std::uint64_t offset, ByteSpan data) {
          !blocks_.empty() && !shutdown_) {
     if (config_.cache_enabled) {
       // Every resident block is already in the cache (write-through);
-      // drop the lowest-offset resident block from the table.
-      const auto oldest = std::min_element(
-          blocks_.begin(), blocks_.end(),
-          [](const auto& a, const auto& b) { return a.first < b.first; });
-      table_bytes_ -= oldest->second.size();
-      GbMetrics::get().bytes_buffered.sub(
-          static_cast<std::int64_t>(oldest->second.size()));
-      GbMetrics::get().blocks_buffered.sub(1);
-      GbMetrics::get().blocks_evicted.add();
-      blocks_.erase(oldest);
+      // drop the lowest-offset resident block from the table. Every
+      // resident block is in block_sizes_ at or above the floor.
+      auto lowest = block_sizes_.lower_bound(resident_floor_);
+      while (!blocks_.contains(lowest->first)) ++lowest;
+      resident_floor_ = lowest->first;
+      drop_block_locked(blocks_.find(lowest->first));
     } else {
       evict_locked();
       if (table_bytes_ + data.size() <= config_.max_buffered_bytes) break;
@@ -293,7 +290,8 @@ Status Channel::write(std::uint64_t offset, ByteSpan data) {
   } else {
     block_sizes_[offset] = static_cast<std::uint32_t>(data.size());
   }
-  blocks_[offset] = Bytes(data.begin(), data.end());
+  blocks_[offset].assign(data.begin(), data.end());
+  resident_floor_ = std::min(resident_floor_, offset);
   table_bytes_ += data.size();
   GbMetrics::get().bytes_buffered.add(
       static_cast<std::int64_t>(data.size()));
@@ -334,7 +332,8 @@ bool Channel::writer_failed() const {
 
 Result<ReadResult> Channel::read(std::uint64_t reader_id,
                                  std::uint64_t offset, std::uint32_t length,
-                                 std::uint64_t deadline_ms) {
+                                 std::uint64_t deadline_ms,
+                                 std::size_t headroom) {
   const auto deadline =
       WallClock::now() + std::chrono::milliseconds(
                              deadline_ms == 0 ? 0 : deadline_ms);
@@ -347,12 +346,13 @@ Result<ReadResult> Channel::read(std::uint64_t reader_id,
   if (readers_.find(reader_id) == readers_.end()) {
     return not_found(strings::cat("channel ", name_, ": unknown reader"));
   }
+  const auto no_data = [&](bool eof) REQUIRES(mu_) {
+    return ReadResult{Bytes(headroom), eof, frontier_};
+  };
 
   while (true) {
     if (shutdown_) return aborted_error("grid buffer shutting down");
-    if (length == 0) {
-      return ReadResult{{}, writer_closed_ && offset >= frontier_, frontier_};
-    }
+    if (length == 0) return no_data(writer_closed_ && offset >= frontier_);
 
     const std::uint64_t bs = config_.block_size;
     const std::uint64_t start = offset / bs * bs;
@@ -362,37 +362,50 @@ Result<ReadResult> Channel::read(std::uint64_t reader_id,
     if (covered) {
       // Serve as much contiguous data as is already available, crossing
       // block boundaries, up to `length` — one RPC can drain a whole
-      // run of blocks instead of one block per round trip.
-      ReadResult result;
-      result.frontier = frontier_;
-      std::uint64_t position = offset;
-      while (result.data.size() < length) {
+      // run of blocks instead of one block per round trip. The first
+      // pass sizes the run so the reply is allocated once.
+      std::uint64_t run = 0;
+      for (std::uint64_t position = offset; run < length;) {
         const std::uint64_t block_start = position / bs * bs;
         const auto run_it = block_sizes_.find(block_start);
         if (run_it == block_sizes_.end() ||
             position - block_start >= run_it->second) {
           break;  // next block not (fully enough) written yet
         }
+        const std::uint64_t take = std::min<std::uint64_t>(
+            length - run, run_it->second - (position - block_start));
+        run += take;
+        position += take;
+      }
+      ReadResult result;
+      result.frontier = frontier_;
+      Bytes& data = result.data;
+      data.reserve(headroom + run);
+      data.resize(headroom);
+      std::uint64_t position = offset;
+      while (position < offset + run) {
+        const std::uint64_t block_start = position / bs * bs;
         const std::uint64_t in_block = position - block_start;
-        const std::uint32_t take = static_cast<std::uint32_t>(
-            std::min<std::uint64_t>(length - result.data.size(),
-                                    run_it->second - in_block));
+        const std::size_t take = static_cast<std::size_t>(std::min<
+            std::uint64_t>(offset + run - position,
+                           block_sizes_.at(block_start) - in_block));
         const auto block = blocks_.find(block_start);
         if (block != blocks_.end()) {
-          result.data.insert(
-              result.data.end(),
-              block->second.begin() + static_cast<std::ptrdiff_t>(in_block),
-              block->second.begin() +
-                  static_cast<std::ptrdiff_t>(in_block + take));
+          const auto from =
+              block->second.begin() + static_cast<std::ptrdiff_t>(in_block);
+          data.insert(data.end(), from,
+                      from + static_cast<std::ptrdiff_t>(take));
         } else if (config_.cache_enabled) {
-          GL_ASSIGN_OR_RETURN(const Bytes cached,
-                              cache_read_locked(position, take));
+          const std::size_t had = data.size();
+          data.resize(had + take);
+          GL_ASSIGN_OR_RETURN(
+              const std::size_t got,
+              cache_read_locked(position, MutableByteSpan(data).subspan(had)));
           GbMetrics::get().cache_hits.add();
-          result.data.insert(result.data.end(), cached.begin(),
-                             cached.end());
-          if (cached.size() < take) break;  // short cache read: stop here
+          data.resize(had + got);
+          if (got < take) break;  // short cache read: stop here
         } else {
-          if (!result.data.empty()) break;  // serve what we have
+          if (data.size() > headroom) break;  // serve what we have
           return out_of_range(strings::cat(
               "channel ", name_,
               ": block consumed and re-read needs a cache file (offset ",
@@ -409,7 +422,7 @@ Result<ReadResult> Channel::read(std::uint64_t reader_id,
             strings::cat("channel ", name_, ": reader removed mid-read"));
       }
       reader_it->second.consumed_upto = std::max(
-          reader_it->second.consumed_upto, offset + result.data.size());
+          reader_it->second.consumed_upto, offset + data.size() - headroom);
       evict_locked();
       lock.unlock();
       cv_.notify_all();  // space may have been freed for the writer
@@ -428,9 +441,7 @@ Result<ReadResult> Channel::read(std::uint64_t reader_id,
     }
 
     if (offset >= frontier_) {
-      if (writer_closed_) {
-        return ReadResult{{}, true, frontier_};
-      }
+      if (writer_closed_) return no_data(true);
     } else if (writer_closed_) {
       // A hole below the frontier that can never be filled: sparse
       // semantics, serve zeros up to the next written extent.
@@ -444,7 +455,7 @@ Result<ReadResult> Channel::read(std::uint64_t reader_id,
       if (take > 0) {
         ReadResult result;
         result.frontier = frontier_;
-        result.data.assign(take, std::byte{0});
+        result.data.assign(headroom + take, std::byte{0});
         const auto reader_it = readers_.find(reader_id);
         if (reader_it == readers_.end()) {
           return not_found(

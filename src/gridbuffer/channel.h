@@ -83,8 +83,12 @@ class Channel {
   /// Reads up to `length` bytes at `offset` for `reader_id`, blocking
   /// until data exists, the writer closes (eof), `deadline_ms` wall
   /// milliseconds elapse (kTimeout; 0 = wait forever), or shutdown().
+  /// The data is preceded by `headroom` zero bytes, which the caller may
+  /// overwrite with a reply header: ReadResult::data is then the whole
+  /// reply, allocated once at its final size.
   Result<ReadResult> read(std::uint64_t reader_id, std::uint64_t offset,
-                          std::uint32_t length, std::uint64_t deadline_ms);
+                          std::uint32_t length, std::uint64_t deadline_ms,
+                          std::size_t headroom = 0);
 
   /// Stream status; with `wait_for_eof` blocks until the writer closes.
   Result<ReadResult> stat(bool wait_for_eof, std::uint64_t deadline_ms);
@@ -114,9 +118,15 @@ class Channel {
   /// Appends `data` at `offset` in the cache file.
   Status cache_write_locked(std::uint64_t offset, ByteSpan data)
       REQUIRES(mu_);
-  /// Reads `length` bytes at `offset` from the cache file.
-  Result<Bytes> cache_read_locked(std::uint64_t offset,
-                                  std::uint32_t length) const REQUIRES(mu_);
+  /// Fills `out` from the cache file at `offset`; returns the bytes read
+  /// (fewer at the end of the file).
+  Result<std::size_t> cache_read_locked(std::uint64_t offset,
+                                        MutableByteSpan out) const
+      REQUIRES(mu_);
+
+  /// Drops the table block at `it`.
+  void drop_block_locked(
+      std::unordered_map<std::uint64_t, Bytes>::iterator it) REQUIRES(mu_);
 
   const std::string name_;
   const ChannelConfig config_;
@@ -132,6 +142,10 @@ class Channel {
   // every write, ordered
   std::map<std::uint64_t, std::uint32_t> block_sizes_ GUARDED_BY(mu_);
   std::uint64_t table_bytes_ GUARDED_BY(mu_) = 0;
+  // No resident block starts below this: each write lowers it to its
+  // offset, and the spill scan raises it to the block it drops, so
+  // finding the lowest resident block skips each evicted one once.
+  std::uint64_t resident_floor_ GUARDED_BY(mu_) = 0;
   std::uint64_t evicted_upto_ GUARDED_BY(mu_) = 0;  // eviction resume point
   std::uint64_t frontier_ GUARDED_BY(mu_) = 0;
   bool writer_closed_ GUARDED_BY(mu_) = false;

@@ -54,10 +54,9 @@ GridBufferWriter::GridBufferWriter(net::Transport& transport,
                                    Options options)
     : transport_(transport), server_(std::move(server)),
       channel_(std::move(channel)), options_(options),
+      request_header_(write_request(0, 0).size()),
       control_(transport, server_, options.wire),
-      queue_(options.window_blocks == 0 ? 1 : options.window_blocks) {
-  pending_.reserve(options_.channel.block_size);
-}
+      queue_(options.window_blocks == 0 ? 1 : options.window_blocks) {}
 
 GridBufferWriter::~GridBufferWriter() {
   if (const Status s = close(); !s.is_ok()) {
@@ -66,35 +65,51 @@ GridBufferWriter::~GridBufferWriter() {
 }
 
 Status GridBufferWriter::pipeline_error() const {
-  MutexLock lock(error_mu_);
+  MutexLock lock(flow_mu_);
   return flusher_status_;
 }
 
-Status GridBufferWriter::send_block(std::uint64_t offset, Bytes data) {
+Bytes GridBufferWriter::write_request(std::uint64_t offset,
+                                      std::uint32_t size) const {
   xdr::Encoder enc;
+  enc.reserve(4 + channel_.size() + 8 + 4 + size);
   enc.put_string(channel_);
   enc.put_u64(offset);
-  enc.put_bytes(data);
-  auto reply = control_.call(method_id(Method::kWrite), enc.buffer());
-  return reply.status();
+  enc.put_u32(size);  // put_bytes()'s length prefix; the bytes follow
+  return std::move(enc).take();
+}
+
+Status GridBufferWriter::send_block(Bytes request) {
+  if (options_.synchronous) {
+    return control_.call(method_id(Method::kWrite), request).status();
+  }
+  {
+    MutexLock lock(flow_mu_);
+    ++queued_blocks_;
+  }
+  if (!queue_.push(std::move(request))) {
+    MutexLock lock(flow_mu_);
+    --queued_blocks_;
+    return closed_error("grid buffer write pipeline closed");
+  }
+  return Status::ok();
 }
 
 void GridBufferWriter::flusher_main() {
   net::RpcClient rpc(transport_, server_, options_.wire);
   while (true) {
-    auto item = queue_.pop();
-    if (!item) return;  // queue closed and drained
-    xdr::Encoder enc;
-    enc.put_string(channel_);
-    enc.put_u64(item->offset);
-    enc.put_bytes(item->data);
-    auto reply = rpc.call(method_id(Method::kWrite), enc.buffer());
-    if (!reply.is_ok()) {
-      MutexLock lock(error_mu_);
-      if (flusher_status_.is_ok()) flusher_status_ = reply.status();
+    auto request = queue_.pop();
+    if (!request) return;  // queue closed and drained
+    auto reply = rpc.call(method_id(Method::kWrite), *request);
+    {
+      MutexLock lock(flow_mu_);
       // Keep draining so close() does not hang, but drop the data.
+      if (!reply.is_ok() && flusher_status_.is_ok()) {
+        flusher_status_ = reply.status();
+      }
+      ++acked_blocks_;
     }
-    acked_blocks_.fetch_add(1);
+    drained_.notify_all();
   }
 }
 
@@ -102,27 +117,19 @@ Status GridBufferWriter::write(ByteSpan data) {
   if (closed_) return failed_precondition("write on closed grid buffer");
   GL_RETURN_IF_ERROR(pipeline_error());
   const std::uint32_t bs = options_.channel.block_size;
+  const std::size_t full = request_header_ + bs;
   while (!data.empty()) {
-    const std::size_t room = bs - pending_.size();
-    const std::size_t take = std::min(room, data.size());
+    if (pending_.empty()) pending_ = write_request(block_start_, bs);
+    const std::size_t take = std::min(full - pending_.size(), data.size());
     pending_.insert(pending_.end(), data.begin(),
                     data.begin() + static_cast<std::ptrdiff_t>(take));
     data = data.subspan(take);
     cursor_ += take;
-    if (pending_.size() == bs) {
-      Bytes block = std::move(pending_);
-      pending_.clear();
-      pending_.reserve(bs);
-      const std::uint64_t offset = block_start_;
+    if (pending_.size() == full) {
       block_start_ += bs;
-      if (options_.synchronous) {
-        GL_RETURN_IF_ERROR(send_block(offset, std::move(block)));
-      } else {
-        queued_blocks_.fetch_add(1);
-        if (!queue_.push(QueuedBlock{offset, std::move(block)})) {
-          return closed_error("grid buffer write pipeline closed");
-        }
-      }
+      Bytes request = std::move(pending_);
+      pending_.clear();
+      GL_RETURN_IF_ERROR(send_block(std::move(request)));
     }
   }
   return Status::ok();
@@ -132,24 +139,19 @@ Status GridBufferWriter::flush() {
   if (closed_) return Status::ok();
   if (!pending_.empty()) {
     // Send the partial block; the stream may extend it later (the server
-    // accepts extending rewrites at the same offset).
-    Bytes block = pending_;  // keep pending_: later writes extend the block
-    if (options_.synchronous) {
-      GL_RETURN_IF_ERROR(send_block(block_start_, std::move(block)));
-    } else {
-      queued_blocks_.fetch_add(1);
-      if (!queue_.push(QueuedBlock{block_start_, std::move(block)})) {
-        return closed_error("grid buffer write pipeline closed");
-      }
-    }
+    // accepts extending rewrites at the same offset), so pending_ stays.
+    const ByteSpan data = ByteSpan(pending_).subspan(request_header_);
+    Bytes request = write_request(
+        block_start_, static_cast<std::uint32_t>(data.size()));
+    request.insert(request.end(), data.begin(), data.end());
+    GL_RETURN_IF_ERROR(send_block(std::move(request)));
   }
-  // Drain the pipeline.
-  if (!options_.synchronous) {
-    while (acked_blocks_.load() < queued_blocks_.load()) {
-      std::this_thread::sleep_for(std::chrono::microseconds(100));
-    }
-  }
-  return pipeline_error();
+  MutexLock lock(flow_mu_);
+  // lint: blocking-ok (monitor wait: releases flow_mu_ until all acked)
+  drained_.wait(flow_mu_, [&]() REQUIRES(flow_mu_) {
+    return acked_blocks_ == queued_blocks_;
+  });
+  return flusher_status_;
 }
 
 Status GridBufferWriter::close() {
@@ -211,7 +213,10 @@ Result<std::size_t> GridBufferReader::read(MutableByteSpan out) {
     GL_ASSIGN_OR_RETURN(const bool eof, dec.boolean());
     GL_ASSIGN_OR_RETURN(const std::uint64_t frontier, dec.u64());
     (void)frontier;
-    GL_ASSIGN_OR_RETURN(const Bytes data, dec.bytes());
+    GL_ASSIGN_OR_RETURN(const ByteSpan data, dec.bytes_view());
+    if (data.size() > out.size() - got) {
+      return internal_error("grid buffer read returned more than asked");
+    }
     std::copy(data.begin(), data.end(),
               out.begin() + static_cast<std::ptrdiff_t>(got));
     got += data.size();

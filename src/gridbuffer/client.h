@@ -7,7 +7,6 @@
 // costs nothing until the next read.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <thread>
@@ -71,7 +70,11 @@ class GridBufferWriter {
   GridBufferWriter(net::Transport& transport, net::Endpoint server,
                    std::string channel, Options options);
 
-  Status send_block(std::uint64_t offset, Bytes data);
+  /// A kWrite request for the block at `offset` carrying `size` bytes,
+  /// which the caller appends.
+  Bytes write_request(std::uint64_t offset, std::uint32_t size) const;
+  /// Sends (synchronous) or queues one kWrite request.
+  Status send_block(Bytes request);
   void flusher_main();
   Status pipeline_error() const;
 
@@ -79,26 +82,27 @@ class GridBufferWriter {
   net::Endpoint server_;
   std::string channel_;
   Options options_;
+  const std::size_t request_header_;  // write_request() bytes before data
 
   net::RpcClient control_;  // open/close + synchronous writes
 
-  Bytes pending_;              // partial block being assembled
-  std::uint64_t block_start_ = 0;  // stream offset of pending_[0]
+  // The kWrite request for the block being assembled: the application's
+  // bytes are copied once, straight into the request the flusher sends.
+  // Empty until the block's first byte.
+  Bytes pending_;
+  std::uint64_t block_start_ = 0;  // stream offset of the pending block
   std::uint64_t cursor_ = 0;       // total bytes accepted
   bool closed_ = false;
 
-  struct QueuedBlock {
-    std::uint64_t offset;
-    Bytes data;
-  };
-  BoundedQueue<QueuedBlock> queue_;
+  BoundedQueue<Bytes> queue_;  // kWrite requests for the flushers
   std::vector<std::thread> flushers_;
-  // lint: not-a-metric (flow control)
-  std::atomic<std::uint64_t> acked_blocks_{0};
-  // lint: not-a-metric (flow control)
-  std::atomic<std::uint64_t> queued_blocks_{0};
-  mutable Mutex error_mu_;
-  Status flusher_status_ GUARDED_BY(error_mu_);
+  // flush() waits on drained_ until the flushers have answered every
+  // queued block; the first flusher error is kept for flush()/write().
+  mutable Mutex flow_mu_;
+  CondVar drained_;
+  std::uint64_t queued_blocks_ GUARDED_BY(flow_mu_) = 0;
+  std::uint64_t acked_blocks_ GUARDED_BY(flow_mu_) = 0;
+  Status flusher_status_ GUARDED_BY(flow_mu_);
 };
 
 class GridBufferReader {

@@ -21,6 +21,7 @@ Bytes relay_write_request(const multicast::RelayNode& node,
   multicast::encode_node(enc, node);
   encode_channel_config(enc, config);
   enc.put_u64(offset);
+  enc.reserve(4 + data.size());
   enc.put_bytes(data);
   return std::move(enc).take();
 }
@@ -112,7 +113,7 @@ void GridBufferServer::register_handlers() {
         xdr::Decoder dec(request);
         GL_ASSIGN_OR_RETURN(const std::string channel, dec.string());
         GL_ASSIGN_OR_RETURN(const std::uint64_t offset, dec.u64());
-        GL_ASSIGN_OR_RETURN(const Bytes data, dec.bytes());
+        GL_ASSIGN_OR_RETURN(const ByteSpan data, dec.bytes_view());
         GL_ASSIGN_OR_RETURN(auto chan, store_.find(channel));
         GL_RETURN_IF_ERROR(chan->write(offset, data));
         // Broadcast channels also fan the block out down the relay tree.
@@ -200,8 +201,12 @@ void GridBufferServer::register_handlers() {
         GL_ASSIGN_OR_RETURN(const std::uint32_t length, dec.u32());
         GL_ASSIGN_OR_RETURN(const std::uint64_t deadline_ms, dec.u64());
         GL_ASSIGN_OR_RETURN(auto chan, store_.find(channel));
+        // The reply is eof, frontier, then the data as XDR bytes. The
+        // channel reads the data in behind room for that header, so the
+        // reply is one buffer allocated at its final size.
+        constexpr std::size_t kHeader = 1 + 8 + 4;
         auto result = chan->read(reader_id, offset, length,
-                                 clamp_to_budget_ms(deadline_ms));
+                                 clamp_to_budget_ms(deadline_ms), kHeader);
         if (!result.is_ok() &&
             result.status().code() == ErrorCode::kTimeout &&
             deadline_expired()) {
@@ -210,11 +215,14 @@ void GridBufferServer::register_handlers() {
               offset));
         }
         GL_RETURN_IF_ERROR(result.status());
-        xdr::Encoder enc;
-        enc.put_bool(result->eof);
-        enc.put_u64(result->frontier);
-        enc.put_bytes(result->data);
-        return std::move(enc).take();
+        Bytes reply = std::move(result->data);
+        xdr::Encoder header;
+        header.put_bool(result->eof);
+        header.put_u64(result->frontier);
+        header.put_u32(static_cast<std::uint32_t>(reply.size() - kHeader));
+        std::copy(header.buffer().begin(), header.buffer().end(),
+                  reply.begin());
+        return reply;
       });
   rpc_.register_method(
       method_id(Method::kCloseRead),
@@ -266,7 +274,7 @@ void GridBufferServer::register_handlers() {
         GL_ASSIGN_OR_RETURN(ChannelConfig config,
                             decode_channel_config(dec));
         GL_ASSIGN_OR_RETURN(const std::uint64_t offset, dec.u64());
-        GL_ASSIGN_OR_RETURN(const Bytes data, dec.bytes());
+        GL_ASSIGN_OR_RETURN(const ByteSpan data, dec.bytes_view());
 
         const std::string host = rpc_.endpoint().host;
         obs::Span span(obs::SpanKind::kRelay, strings::cat("relay:", host));

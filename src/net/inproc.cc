@@ -27,7 +27,7 @@ class InProcChannel {
                 std::size_t capacity)
       : clock_(clock), shaper_(std::move(shaper)), capacity_(capacity) {}
 
-  Status send(ByteSpan message) {
+  Status send(Bytes message) {
     const Duration arrival =
         shaper_->arrival_time(clock_.now(), message.size());
     MutexLock lock(mu_);
@@ -36,7 +36,7 @@ class InProcChannel {
       return closed_ || queue_.size() < capacity_;
     });
     if (closed_) return closed_error("inproc channel closed");
-    queue_.push_back(Msg{arrival, Bytes(message.begin(), message.end())});
+    queue_.push_back(Msg{arrival, std::move(message)});
     lock.unlock();
     not_empty_.notify_one();
     return Status::ok();
@@ -115,7 +115,12 @@ class InProcConnection final : public Connection {
 
   ~InProcConnection() override { close(); }
 
-  Status send(ByteSpan message) override { return tx_->send(message); }
+  Status send(ByteSpan message) override {
+    return tx_->send(Bytes(message.begin(), message.end()));
+  }
+  Status send_owned(Bytes message) override {
+    return tx_->send(std::move(message));
+  }
   Result<Bytes> recv() override { return rx_->recv(nullptr); }
   Result<Bytes> recv_until(WallClock::time_point deadline) override {
     return rx_->recv(&deadline);

@@ -48,9 +48,14 @@ struct RpcMetrics {
 };
 }  // namespace
 
-Bytes encode_frame(const RpcFrame& frame, WireFormat format) {
-  if (format == WireFormat::kSoap) return soap_encode(frame);
+Bytes encode_frame(const RpcFrame& frame, ByteSpan payload,
+                   WireFormat format) {
+  if (format == WireFormat::kSoap) return soap_encode(frame, payload);
+  // kind, id, method, trace, span, deadline; status code and message
+  // length; payload length.
+  constexpr std::size_t kFixedBytes = 1 + 8 + 2 + 8 + 8 + 8 + 4 + 4 + 4;
   xdr::Encoder enc;
+  enc.reserve(kFixedBytes + frame.status.message().size() + payload.size());
   enc.put_u8(static_cast<std::uint8_t>(frame.kind));
   enc.put_u64(frame.id);
   enc.put_u16(frame.method);
@@ -58,14 +63,17 @@ Bytes encode_frame(const RpcFrame& frame, WireFormat format) {
   enc.put_u64(frame.span_id);
   enc.put_u64(frame.deadline_us);
   xdr::encode_status(enc, frame.status);
-  enc.put_bytes(frame.payload);
+  enc.put_bytes(payload);
   return std::move(enc).take();
 }
 
-Result<RpcFrame> decode_frame(ByteSpan data, WireFormat format) {
-  if (format == WireFormat::kSoap) return soap_decode(data);
+Result<ByteSpan> decode_frame_view(ByteSpan data, WireFormat format,
+                                   RpcFrame& frame) {
+  if (format == WireFormat::kSoap) {
+    GL_ASSIGN_OR_RETURN(frame, soap_decode(data));
+    return ByteSpan(frame.payload);
+  }
   xdr::Decoder dec(data);
-  RpcFrame frame;
   GL_ASSIGN_OR_RETURN(const std::uint8_t kind, dec.u8());
   if (kind > 1) return invalid_argument("rpc frame: bad kind");
   frame.kind = static_cast<FrameKind>(kind);
@@ -75,7 +83,20 @@ Result<RpcFrame> decode_frame(ByteSpan data, WireFormat format) {
   GL_ASSIGN_OR_RETURN(frame.span_id, dec.u64());
   GL_ASSIGN_OR_RETURN(frame.deadline_us, dec.u64());
   GL_RETURN_IF_ERROR(xdr::decode_status(dec, &frame.status));
-  GL_ASSIGN_OR_RETURN(frame.payload, dec.bytes());
+  return dec.bytes_view();
+}
+
+Bytes encode_frame(const RpcFrame& frame, WireFormat format) {
+  return encode_frame(frame, frame.payload, format);
+}
+
+Result<RpcFrame> decode_frame(ByteSpan data, WireFormat format) {
+  RpcFrame frame;
+  GL_ASSIGN_OR_RETURN(const ByteSpan payload,
+                      decode_frame_view(data, format, frame));
+  if (format == WireFormat::kBinary) {
+    frame.payload.assign(payload.begin(), payload.end());
+  }
   return frame;
 }
 
@@ -240,13 +261,16 @@ void RpcServer::serve_connection(std::shared_ptr<Connection> conn) {
       return;
     }
     RpcMetrics::get().server_bytes_in.add(message->size());
-    auto frame = decode_frame(*message, format_);
-    if (!frame.is_ok()) {
+    // The handler reads its request in place: `payload` views *message
+    // (or request.payload for SOAP), both alive until the reply is sent.
+    RpcFrame request;
+    const auto payload = decode_frame_view(*message, format_, request);
+    if (!payload.is_ok()) {
       GL_LOG(kWarn, "rpc bad frame from ", context.peer, ": ",
-             frame.status());
+             payload.status());
       return;  // framing is broken; drop the connection
     }
-    if (frame->kind != FrameKind::kRequest) {
+    if (request.kind != FrameKind::kRequest) {
       GL_LOG(kWarn, "rpc unexpected response frame from ", context.peer);
       return;
     }
@@ -254,40 +278,40 @@ void RpcServer::serve_connection(std::shared_ptr<Connection> conn) {
 
     RpcFrame reply;
     reply.kind = FrameKind::kResponse;
-    reply.id = frame->id;
-    reply.method = frame->method;
+    reply.id = request.id;
+    reply.method = request.method;
 
     const Method* entry = nullptr;
     AdmissionController* admission = nullptr;
     {
       MutexLock lock(mu_);
-      const auto it = handlers_.find(frame->method);
+      const auto it = handlers_.find(request.method);
       if (it != handlers_.end()) entry = &it->second;
       admission = admission_.get();
     }
     if (entry == nullptr) {
       reply.status = unimplemented(
-          strings::cat("no handler for method ", frame->method));
+          strings::cat("no handler for method ", request.method));
     } else {
       // Adopt the caller's trace for the handler's duration: spans the
       // handler opens (and nested RPC hops it makes) parent to the
       // remote caller's span. Untraced requests get no server span —
       // otherwise every request would mint a fresh root trace.
       obs::ScopedTraceContext trace_scope(
-          obs::TraceContext{frame->trace_id, frame->span_id});
+          obs::TraceContext{request.trace_id, request.span_id});
       std::optional<obs::Span> rpc_span;
-      if (frame->trace_id != 0) {
+      if (request.trace_id != 0) {
         rpc_span.emplace(obs::SpanKind::kRpc,
-                         strings::cat("rpc:", frame->method));
+                         strings::cat("rpc:", request.method));
         rpc_span->add_attr("peer", context.peer);
       }
       // Re-anchor the caller's remaining budget on this server's clock.
       // Admission queueing and handler service both burn it, and nested
       // hops the handler makes forward whatever is left.
       std::optional<WallClock::time_point> hop_deadline;
-      if (frame->deadline_us != 0) {
+      if (request.deadline_us != 0) {
         hop_deadline = WallClock::now() +
-                       std::chrono::microseconds(frame->deadline_us);
+                       std::chrono::microseconds(request.deadline_us);
       }
       ScopedDeadline deadline_scope(hop_deadline);
 
@@ -295,14 +319,14 @@ void RpcServer::serve_connection(std::shared_ptr<Connection> conn) {
       AdmissionController::Permit permit;
       if (deadline_expired()) {
         gate = deadline_exceeded(strings::cat(
-            "rpc ", frame->method, ": budget exhausted on arrival"));
+            "rpc ", request.method, ": budget exhausted on arrival"));
       } else if (entry->admitted && admission != nullptr) {
-        auto admitted = admission->admit(entry->cost, frame->method);
+        auto admitted = admission->admit(entry->cost, request.method);
         if (admitted.is_ok()) {
           permit = std::move(*admitted);
           if (deadline_expired()) {
             gate = deadline_exceeded(strings::cat(
-                "rpc ", frame->method, ": budget exhausted while queued"));
+                "rpc ", request.method, ": budget exhausted while queued"));
           }
         } else {
           gate = admitted.status();
@@ -315,13 +339,13 @@ void RpcServer::serve_connection(std::shared_ptr<Connection> conn) {
         if (gate.code() == ErrorCode::kDeadlineExceeded) {
           RpcMetrics::get().deadline_expired.add();
           obs::Span expired(obs::SpanKind::kDeadlineExpired,
-                            strings::cat("rpc.expired:", frame->method));
+                            strings::cat("rpc.expired:", request.method));
           expired.add_attr("peer", context.peer);
         }
         reply.status = gate;
         if (rpc_span) rpc_span->add_attr("error", gate.message());
       } else {
-        auto result = (entry->handler)(frame->payload, context);
+        auto result = (entry->handler)(*payload, context);
         if (result.is_ok()) {
           reply.payload = std::move(*result);
         } else {
@@ -330,9 +354,10 @@ void RpcServer::serve_connection(std::shared_ptr<Connection> conn) {
         }
       }
     }
-    const Bytes encoded = encode_frame(reply, format_);
+    Bytes encoded = encode_frame(reply, format_);
     RpcMetrics::get().server_bytes_out.add(encoded.size());
-    if (const Status sent = conn->send(encoded); !sent.is_ok()) {
+    if (const Status sent = conn->send_owned(std::move(encoded));
+        !sent.is_ok()) {
       if (sent.code() != ErrorCode::kClosed) {
         GL_LOG(kDebug, "rpc reply send failed: ", sent);
       }
@@ -343,7 +368,8 @@ void RpcServer::serve_connection(std::shared_ptr<Connection> conn) {
 
 RpcClient::RpcClient(Transport& transport, Endpoint server, WireFormat format)
     : transport_(transport), server_(std::move(server)), format_(format),
-      fault_key_(strings::cat(transport.local_host(), ">", server_.host)) {}
+      fault_key_(strings::cat(transport.local_host(), ">", server_.host)),
+      fault_key_hash_(fnv1a(as_bytes_view(fault_key_))) {}
 
 RpcClient::~RpcClient() {
   MutexLock lock(mu_);
@@ -395,8 +421,7 @@ Result<Bytes> RpcClient::call_impl(std::uint16_t method, ByteSpan request,
                                    const WallClock::time_point* deadline) {
   // Every fresh call earns its peer retry-budget tokens (taken before
   // the client lock: the budget has its own).
-  const std::uint64_t key_hash = fnv1a(as_bytes_view(fault_key_));
-  fault::RetryBudget::global().note_fresh(key_hash);
+  fault::RetryBudget::global().note_fresh(fault_key_hash_);
 
   MutexLock lock(mu_);
   if (fault::armed() == nullptr) return call_once(method, request, deadline);
@@ -440,14 +465,14 @@ Result<Bytes> RpcClient::call_impl(std::uint16_t method, ByteSpan request,
     }
     // A dry per-peer token bucket turns the retry away — the original
     // error surfaces instead of joining a retry storm.
-    if (!fault::RetryBudget::global().acquire(key_hash)) return result;
+    if (!fault::RetryBudget::global().acquire(fault_key_hash_)) return result;
     fault::note_retry_attempt();
     retry_span.emplace(obs::SpanKind::kRetry,
                        strings::cat("rpc.retry:", fault_key_));
     retry_span->add_attr("attempt", strings::cat(attempt + 1));
     retry_span->add_attr("error", result.status().message());
     lock.unlock();
-    fault::sleep_for_model(policy.backoff(attempt, key_hash));
+    fault::sleep_for_model(policy.backoff(attempt, fault_key_hash_));
     lock.lock();
   }
 }
@@ -487,11 +512,9 @@ Result<Bytes> RpcClient::call_once(std::uint16_t method, ByteSpan request,
           1, std::chrono::duration_cast<std::chrono::microseconds>(*budget)
                  .count()));
     }
-    frame.payload.assign(request.begin(), request.end());
-
-    const Bytes encoded = encode_frame(frame, format_);
+    Bytes encoded = encode_frame(frame, request, format_);
     RpcMetrics::get().client_bytes_sent.add(encoded.size());
-    const Status sent = conn_->send(encoded);
+    const Status sent = conn_->send_owned(std::move(encoded));
     if (!sent.is_ok()) {
       drop_connection();
       if (attempt == 0 && sent.code() == ErrorCode::kClosed) continue;
@@ -528,17 +551,25 @@ Result<Bytes> RpcClient::call_once(std::uint16_t method, ByteSpan request,
       return message.status();
     }
     RpcMetrics::get().client_bytes_received.add(message->size());
-    auto reply = decode_frame(*message, format_);
-    if (!reply.is_ok()) {
+    RpcFrame reply;
+    const auto payload = decode_frame_view(*message, format_, reply);
+    if (!payload.is_ok()) {
       drop_connection();
-      return reply.status();
+      return payload.status();
     }
-    if (reply->kind != FrameKind::kResponse || reply->id != frame.id) {
+    if (reply.kind != FrameKind::kResponse || reply.id != frame.id) {
       drop_connection();
       return internal_error("rpc response out of sequence");
     }
-    if (!reply->status.is_ok()) return reply->status;
-    return std::move(reply->payload);
+    if (!reply.status.is_ok()) return reply.status;
+    if (format_ == WireFormat::kSoap) return std::move(reply.payload);
+    // A binary payload is the tail of the message: trim the header off in
+    // place rather than copying the payload into a second buffer.
+    Bytes& buffer = *message;
+    buffer.erase(buffer.begin(), buffer.begin() + (payload->data() -
+                                                   buffer.data()));
+    buffer.resize(payload->size());
+    return std::move(buffer);
   }
   return unavailable(strings::cat("rpc to ", server_.to_string(),
                                   " failed after reconnect"));

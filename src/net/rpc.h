@@ -34,7 +34,9 @@ struct RpcContext {
 };
 
 /// A handler consumes the request payload and produces a response payload
-/// (or an error Status, which travels back to the caller).
+/// (or an error Status, which travels back to the caller). The request is
+/// a view into the received message, valid only for the handler's call:
+/// anything kept past it must be copied.
 using RpcHandler = std::function<Result<Bytes>(ByteSpan, const RpcContext&)>;
 
 class RpcServer {
@@ -157,7 +159,8 @@ class RpcClient {
   Transport& transport_;
   Endpoint server_;
   WireFormat format_;
-  std::string fault_key_;  // "src>dst" host pair for fault-plan consults
+  const std::string fault_key_;  // "src>dst" pair for fault-plan consults
+  const std::uint64_t fault_key_hash_;  // its retry-budget key
   // call_impl() consults the armed fault plan and bumps retry metrics
   // under the client lock (backoff sleeps release it).
   Mutex mu_ ACQUIRED_BEFORE("Plan::mu_", "MetricsRegistry::mu_",
@@ -166,8 +169,19 @@ class RpcClient {
   std::uint64_t next_id_ GUARDED_BY(mu_) = 1;
 };
 
-/// Encodes/decodes RPC frames for the given wire format (exposed for the
-/// codec ablation bench and fuzz-style tests).
+/// Encodes `frame`'s header with `payload` as its body (frame.payload is
+/// not read) into one buffer sized up front.
+Bytes encode_frame(const RpcFrame& frame, ByteSpan payload, WireFormat format);
+
+/// Decodes a frame's header into `frame` and returns its payload without
+/// copying it: a binary payload is a view into `data`; a SOAP body is
+/// base64, so it is decoded into frame.payload and the view is of that.
+/// The view is valid while both `data` and `frame` are.
+Result<ByteSpan> decode_frame_view(ByteSpan data, WireFormat format,
+                                   RpcFrame& frame);
+
+/// Owning forms of the two above (the codec ablation bench and
+/// fuzz-style tests use them).
 Bytes encode_frame(const RpcFrame& frame, WireFormat format);
 Result<RpcFrame> decode_frame(ByteSpan data, WireFormat format);
 

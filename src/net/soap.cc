@@ -133,7 +133,7 @@ std::string xml_unescape(std::string_view text) {
 
 }  // namespace
 
-Bytes soap_encode(const RpcFrame& frame) {
+Bytes soap_encode(const RpcFrame& frame, ByteSpan payload) {
   std::string xml = strings::cat(
       "<?xml version=\"1.0\"?>"
       "<soap:Envelope xmlns:soap=\"http://schemas.xmlsoap.org/soap/"
@@ -165,7 +165,7 @@ Bytes soap_encode(const RpcFrame& frame) {
       "</gl:statusText>"
       "</soap:Header>"
       "<soap:Body><gl:payload>",
-      base64_encode(frame.payload),
+      base64_encode(payload),
       "</gl:payload></soap:Body>"
       "</soap:Envelope>");
   return to_bytes(xml);

@@ -41,8 +41,9 @@ struct RpcFrame {
 std::string base64_encode(ByteSpan data);
 Result<Bytes> base64_decode(std::string_view text);
 
-/// Serializes a frame as a SOAP-style XML envelope.
-Bytes soap_encode(const RpcFrame& frame);
+/// Serializes a frame as a SOAP-style XML envelope with `payload` as its
+/// body (frame.payload is not read).
+Bytes soap_encode(const RpcFrame& frame, ByteSpan payload);
 
 /// Parses an envelope produced by soap_encode (tolerates whitespace).
 Result<RpcFrame> soap_decode(ByteSpan data);

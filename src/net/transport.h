@@ -29,6 +29,11 @@ class Connection {
   /// Enqueues one message; blocks on flow control. kClosed after close.
   virtual Status send(ByteSpan message) = 0;
 
+  /// As send(), handing the buffer over: a transport that queues whole
+  /// messages (InProc) keeps it instead of copying it. The default sends
+  /// a view, so a decorator that overrides only send() still works.
+  virtual Status send_owned(Bytes message) { return send(message); }
+
   /// Blocks for the next message; kClosed on orderly shutdown.
   virtual Result<Bytes> recv() = 0;
 

@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <vector>
@@ -21,6 +22,31 @@ namespace {
 Status errno_status(const char* op, const std::string& path) {
   return io_error(
       strings::cat(op, " ", path, ": ", strings::errno_message(errno)));
+}
+
+/// Reads up to `length` bytes of `fd` at `offset` into a reply holding
+/// them as XDR bytes: the data is read in place behind its length prefix,
+/// so the reply is the only buffer. Short at end of file.
+Result<Bytes> pread_reply(int fd, std::uint64_t offset, std::uint32_t length,
+                          const std::string& what) {
+  constexpr std::size_t kPrefix = 4;
+  Bytes reply(kPrefix + length);
+  std::size_t got = 0;
+  while (got < length) {
+    const ssize_t n = ::pread(fd, reply.data() + kPrefix + got, length - got,
+                              static_cast<off_t>(offset + got));
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return errno_status("pread", what);
+    }
+    if (n == 0) break;
+    got += static_cast<std::size_t>(n);
+  }
+  reply.resize(kPrefix + got);
+  xdr::Encoder prefix;
+  prefix.put_u32(static_cast<std::uint32_t>(got));
+  std::copy(prefix.buffer().begin(), prefix.buffer().end(), reply.begin());
+  return reply;
 }
 }  // namespace
 
@@ -172,29 +198,14 @@ Result<Bytes> FileServer::handle_pread(ByteSpan request) {
     }
     fd = it->second.fd;
   }
-  Bytes buffer(length);
-  std::size_t got = 0;
-  while (got < length) {
-    const ssize_t n = ::pread(fd, buffer.data() + got, length - got,
-                              static_cast<off_t>(offset + got));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return errno_status("pread", strings::cat("handle ", handle));
-    }
-    if (n == 0) break;
-    got += static_cast<std::size_t>(n);
-  }
-  buffer.resize(got);
-  xdr::Encoder enc;
-  enc.put_bytes(buffer);
-  return std::move(enc).take();
+  return pread_reply(fd, offset, length, strings::cat("handle ", handle));
 }
 
 Result<Bytes> FileServer::handle_pwrite(ByteSpan request) {
   xdr::Decoder dec(request);
   GL_ASSIGN_OR_RETURN(const std::uint64_t handle, dec.u64());
   GL_ASSIGN_OR_RETURN(const std::uint64_t offset, dec.u64());
-  GL_ASSIGN_OR_RETURN(const Bytes data, dec.bytes());
+  GL_ASSIGN_OR_RETURN(const ByteSpan data, dec.bytes_view());
   int fd = -1;
   {
     MutexLock lock(mu_);
@@ -252,26 +263,9 @@ Result<Bytes> FileServer::handle_get_chunk(ByteSpan request) {
     }
     return errno_status("open", path);
   }
-  Bytes buffer(length);
-  std::size_t got = 0;
-  Status status = Status::ok();
-  while (got < length) {
-    const ssize_t n = ::pread(fd, buffer.data() + got, length - got,
-                              static_cast<off_t>(offset + got));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      status = errno_status("pread", path);
-      break;
-    }
-    if (n == 0) break;
-    got += static_cast<std::size_t>(n);
-  }
+  auto reply = pread_reply(fd, offset, length, path);
   ::close(fd);
-  GL_RETURN_IF_ERROR(status);
-  buffer.resize(got);
-  xdr::Encoder enc;
-  enc.put_bytes(buffer);
-  return std::move(enc).take();
+  return reply;
 }
 
 Status FileServer::write_chunk(const std::string& path, std::uint64_t offset,
@@ -306,7 +300,7 @@ Result<Bytes> FileServer::handle_put_chunk(ByteSpan request) {
   GL_ASSIGN_OR_RETURN(const std::string path, dec.string());
   GL_ASSIGN_OR_RETURN(const std::uint64_t offset, dec.u64());
   GL_ASSIGN_OR_RETURN(const bool truncate_to_offset, dec.boolean());
-  GL_ASSIGN_OR_RETURN(const Bytes data, dec.bytes());
+  GL_ASSIGN_OR_RETURN(const ByteSpan data, dec.bytes_view());
   GL_RETURN_IF_ERROR(write_chunk(path, offset, truncate_to_offset, data));
   return Bytes{};
 }
@@ -317,7 +311,7 @@ Result<Bytes> FileServer::handle_relay_chunk(ByteSpan request) {
                       multicast::decode_node(dec));
   GL_ASSIGN_OR_RETURN(const std::uint64_t offset, dec.u64());
   GL_ASSIGN_OR_RETURN(const bool truncate_to_offset, dec.boolean());
-  GL_ASSIGN_OR_RETURN(const Bytes data, dec.bytes());
+  GL_ASSIGN_OR_RETURN(const ByteSpan data, dec.bytes_view());
 
   const std::string host = rpc_.endpoint().host;
   obs::Span span(obs::SpanKind::kRelay, strings::cat("relay:", host));
@@ -342,6 +336,7 @@ Result<Bytes> FileServer::handle_relay_chunk(ByteSpan request) {
         multicast::encode_node(enc, child);
         enc.put_u64(offset);
         enc.put_bool(truncate_to_offset);
+        enc.reserve(4 + data.size());
         enc.put_bytes(data);
         return std::move(enc).take();
       },

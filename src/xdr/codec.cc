@@ -119,9 +119,13 @@ Result<std::string> Decoder::string() {
 }
 
 Result<Bytes> Decoder::bytes() {
-  GL_ASSIGN_OR_RETURN(const std::uint32_t size, u32());
-  GL_ASSIGN_OR_RETURN(ByteSpan b, take(size));
+  GL_ASSIGN_OR_RETURN(const ByteSpan b, bytes_view());
   return Bytes(b.begin(), b.end());
+}
+
+Result<ByteSpan> Decoder::bytes_view() {
+  GL_ASSIGN_OR_RETURN(const std::uint32_t size, u32());
+  return take(size);
 }
 
 void encode_status(Encoder& enc, const Status& status) {

@@ -41,6 +41,10 @@ class Encoder {
     for (const T& item : items) encode_item(*this, item);
   }
 
+  /// Makes room for `bytes` more without regrowing: an encoder sized up
+  /// front builds its message in one allocation.
+  void reserve(std::size_t bytes) { buffer_.reserve(buffer_.size() + bytes); }
+
   const Bytes& buffer() const noexcept { return buffer_; }
   Bytes take() && { return std::move(buffer_); }
 
@@ -64,6 +68,9 @@ class Decoder {
   Result<bool> boolean();
   Result<std::string> string();
   Result<Bytes> bytes();
+  /// As bytes(), but returns a view into the decoder's input instead of
+  /// a copy: valid only while that input is.
+  Result<ByteSpan> bytes_view();
 
   /// Decodes a u32-count-prefixed vector via a per-element callback.
   template <typename T, typename Fn>

@@ -32,7 +32,7 @@ TEST(FuzzTest, SoapDecodeSurvivesMutatedValidFrames) {
   frame.id = 42;
   frame.method = 3;
   frame.payload = to_bytes("payload bytes here");
-  const Bytes valid = net::soap_encode(frame);
+  const Bytes valid = net::soap_encode(frame, frame.payload);
   std::mt19937 rng(99);
   for (int trial = 0; trial < 300; ++trial) {
     Bytes mutated = valid;

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <set>
 #include <thread>
 
 #include "src/common/tempfile.h"
@@ -11,6 +12,7 @@
 #include "src/gridbuffer/file_client.h"
 #include "src/gridbuffer/server.h"
 #include "src/net/inproc.h"
+#include "src/obs/metrics.h"
 
 namespace griddles::gridbuffer {
 namespace {
@@ -321,6 +323,51 @@ TEST_F(ChannelTest, BackpressureSpillsToCache) {
   EXPECT_EQ(got, data);
 }
 
+TEST_F(ChannelTest, SpillDropsLowestResidentBlockFirst) {
+  constexpr std::size_t kBlock = 512;
+  constexpr std::size_t kCap = 4;
+  constexpr std::size_t kBlocks = 64;
+  ChannelConfig config;
+  config.block_size = kBlock;
+  config.cache_enabled = true;
+  config.max_buffered_bytes = kCap * kBlock;
+  auto channel = make_channel(config);
+  const auto reader = channel->add_reader();
+  const Bytes data = pattern(kBlocks * kBlock, 5);
+  // Blocks arrive in descending runs of twice the cap, as late blocks
+  // from parallel flushers can, so a block often lands below one that was
+  // already spilled. Reference model of the spill: while the table is
+  // full, drop the lowest resident offset.
+  constexpr std::size_t kRun = 2 * kCap;
+  std::set<std::uint64_t> resident;
+  for (std::size_t run = 0; run < kBlocks; run += kRun) {
+    for (std::size_t i = kRun; i-- > 0;) {
+      const std::uint64_t offset = (run + i) * kBlock;
+      ASSERT_TRUE(
+          channel->write(offset, {data.data() + offset, kBlock}).is_ok());
+      if (resident.size() == kCap) resident.erase(resident.begin());
+      resident.insert(offset);
+      EXPECT_EQ(channel->buffered_blocks(), resident.size());
+    }
+  }
+  EXPECT_EQ(channel->buffered_blocks(), kCap);
+  channel->close_writer();
+
+  // Read in order: exactly the blocks the model spilled come from the
+  // cache file, and every byte matches.
+  auto& hits = obs::MetricsRegistry::global().counter("gridbuffer.cache.hits");
+  for (std::size_t block = 0; block < kBlocks; ++block) {
+    const std::uint64_t offset = block * kBlock;
+    const std::uint64_t hits_before = hits.value();
+    auto result = channel->read(reader, offset, kBlock, 1000);
+    ASSERT_TRUE(result.is_ok());
+    EXPECT_EQ(result->data, Bytes(data.begin() + offset,
+                                  data.begin() + offset + kBlock));
+    EXPECT_EQ(hits.value() - hits_before, resident.contains(offset) ? 0u : 1u)
+        << "block " << block;
+  }
+}
+
 TEST_F(ChannelTest, BackpressureBlocksWriterWithoutCache) {
   ChannelConfig config;
   config.block_size = 1024;
@@ -500,6 +547,31 @@ TEST_P(GridBufferE2ETest, StreamOverlapsWriterAndReader) {
   EXPECT_EQ(got, data);
   EXPECT_EQ((*reader)->size().value(), data.size());
   ASSERT_TRUE((*reader)->close().is_ok());
+}
+
+TEST_P(GridBufferE2ETest, FlushWaitsForEveryQueuedBlock) {
+  GridBufferWriter::Options options;
+  options.channel.block_size = 1024;
+  options.wire = format();
+  auto writer = GridBufferWriter::open(*client_transport_, server_.endpoint(),
+                                       "e2e/flush", options);
+  ASSERT_TRUE(writer.is_ok());
+  const Bytes data = pattern(40 * 1024 + 100, 4);  // ends in a partial block
+  ASSERT_TRUE((*writer)->write(data).is_ok());
+  ASSERT_TRUE((*writer)->flush().is_ok());
+  auto channel = server_.store().find("e2e/flush");
+  ASSERT_TRUE(channel.is_ok());
+  auto stat = (*channel)->stat(/*wait_for_eof=*/false, 0);
+  ASSERT_TRUE(stat.is_ok());
+  EXPECT_EQ(stat->frontier, (*writer)->bytes_written());
+
+  // The server now refuses writes: the flushers' error comes back from
+  // flush() instead of the wait hanging on blocks that were never stored.
+  (*channel)->fail_writer("test");
+  ASSERT_TRUE((*writer)->write(pattern(8 * 1024, 6)).is_ok());
+  const Status flushed = (*writer)->flush();
+  EXPECT_EQ(flushed.code(), ErrorCode::kDataLoss);
+  EXPECT_EQ((*writer)->close().code(), ErrorCode::kDataLoss);
 }
 
 TEST_P(GridBufferE2ETest, SeekBackAndRereadThroughCache) {

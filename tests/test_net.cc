@@ -2,6 +2,7 @@
 // RPC, and the SOAP codec.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
 #include <fstream>
@@ -114,6 +115,27 @@ TEST(InProcTest, ConnectSendReceive) {
   ASSERT_TRUE(reply.is_ok());
   EXPECT_EQ(to_string(*reply), "ping");
   server.join();
+}
+
+TEST(InProcTest, OwnedSendHandsOverTheBuffer) {
+  RealClock clock;
+  InProcNetwork network(clock);
+  auto server_t = network.transport("dione");
+  auto client_t = network.transport("jagan");
+  auto listener = server_t->listen(inproc_endpoint("dione", "sink"));
+  ASSERT_TRUE(listener.is_ok());
+  auto conn = client_t->connect(inproc_endpoint("dione", "sink"));
+  ASSERT_TRUE(conn.is_ok());
+  auto accepted = (*listener)->accept();
+  ASSERT_TRUE(accepted.is_ok());
+
+  Bytes message = to_bytes("block");
+  const std::byte* sent = message.data();
+  ASSERT_TRUE((*conn)->send_owned(std::move(message)).is_ok());
+  auto received = (*accepted)->recv();
+  ASSERT_TRUE(received.is_ok());
+  EXPECT_EQ(received->data(), sent);  // moved through the queue, no copy
+  EXPECT_EQ(to_string(*received), "block");
 }
 
 TEST(InProcTest, ConnectToMissingServiceFails) {
@@ -377,7 +399,7 @@ TEST(SoapTest, FrameRoundTrip) {
   frame.method = 7;
   frame.status = not_found("no <such> & channel");
   frame.payload = to_bytes("binary \x01\x02 payload");
-  auto decoded = soap_decode(soap_encode(frame));
+  auto decoded = soap_decode(soap_encode(frame, frame.payload));
   ASSERT_TRUE(decoded.is_ok());
   EXPECT_EQ(decoded->kind, frame.kind);
   EXPECT_EQ(decoded->id, frame.id);
@@ -405,7 +427,190 @@ TEST(RpcFrameTest, BinaryRoundTrip) {
   EXPECT_EQ(to_string(decoded->payload), "req");
 }
 
+/// A frame with every header field set, carrying `payload`.
+RpcFrame full_frame(Status status, Bytes payload) {
+  RpcFrame frame;
+  frame.kind = FrameKind::kResponse;
+  frame.id = 0x0102030405060708ULL;
+  frame.method = 0x0A0B;
+  frame.trace_id = 0x1112131415161718ULL;
+  frame.span_id = 0x2122232425262728ULL;
+  frame.deadline_us = 1500000;
+  frame.status = std::move(status);
+  frame.payload = std::move(payload);
+  return frame;
+}
+
+TEST(RpcFrameTest, GoldenBinaryEncoding) {
+  // Captured from the codec before frames were encoded from a payload
+  // span into one buffer sized up front: the wire format is unchanged.
+  const std::string golden =
+      "0101020304050607080a0b111213141516171821222324252627280000000000"
+      "16e3600000000200000004676f6e6500000004626c6b01";
+  const Bytes wire = encode_frame(full_frame(not_found("gone"),
+                                             to_bytes("blk\x01")),
+                                  WireFormat::kBinary);
+  std::string hex;
+  for (const std::byte b : wire) {
+    hex += "0123456789abcdef"[static_cast<unsigned>(b) >> 4];
+    hex += "0123456789abcdef"[static_cast<unsigned>(b) & 0xF];
+  }
+  EXPECT_EQ(hex, golden);
+}
+
+TEST(RpcFrameTest, ViewDecodeMatchesOwningDecode) {
+  for (const WireFormat format : {WireFormat::kBinary, WireFormat::kSoap}) {
+    for (const std::size_t size : {std::size_t{0}, std::size_t{4096},
+                                   std::size_t{1} << 20}) {
+      for (const Status& status :
+           {Status::ok(), unavailable("shed <under> & load")}) {
+        Bytes payload(size);
+        for (std::size_t i = 0; i < size; ++i) {
+          payload[i] = static_cast<std::byte>((i * 131 + size) & 0xFF);
+        }
+        const RpcFrame frame = full_frame(status, payload);
+        const Bytes wire = encode_frame(frame, payload, format);
+        EXPECT_EQ(wire, encode_frame(frame, format));
+
+        auto owned = decode_frame(wire, format);
+        ASSERT_TRUE(owned.is_ok());
+        RpcFrame header;
+        auto view = decode_frame_view(wire, format, header);
+        ASSERT_TRUE(view.is_ok());
+        for (const RpcFrame* decoded : {&*owned, &header}) {
+          EXPECT_EQ(decoded->kind, frame.kind);
+          EXPECT_EQ(decoded->id, frame.id);
+          EXPECT_EQ(decoded->method, frame.method);
+          EXPECT_EQ(decoded->trace_id, frame.trace_id);
+          EXPECT_EQ(decoded->span_id, frame.span_id);
+          EXPECT_EQ(decoded->deadline_us, frame.deadline_us);
+          EXPECT_EQ(decoded->status.code(), status.code());
+          EXPECT_EQ(decoded->status.message(), status.message());
+        }
+        EXPECT_EQ(owned->payload, payload);
+        EXPECT_TRUE(std::equal(view->begin(), view->end(), payload.begin(),
+                               payload.end()));
+        if (format == WireFormat::kBinary && size > 0) {
+          // The binary view aliases the wire bytes.
+          EXPECT_EQ(view->data() + view->size(), wire.data() + wire.size());
+        }
+      }
+    }
+  }
+}
+
 class RpcTest : public ::testing::TestWithParam<WireFormat> {};
+
+TEST_P(RpcTest, EchoBuildsReplyFromRequestView) {
+  // The handler builds its reply from the request view; under ASan a view
+  // that outlived its message would be reported here.
+  RealClock clock;
+  InProcNetwork network(clock);
+  auto server_t = network.transport("dione");
+  auto client_t = network.transport("jagan");
+  RpcServer server(*server_t, inproc_endpoint("dione", "echo"), GetParam());
+  register_echo(server);
+  ASSERT_TRUE(server.start().is_ok());
+  RpcClient client(*client_t, server.endpoint(), GetParam());
+  for (const std::size_t size : {std::size_t{0}, std::size_t{4096},
+                                 std::size_t{1} << 20}) {
+    Bytes request(size);
+    for (std::size_t i = 0; i < size; ++i) {
+      request[i] = static_cast<std::byte>((i * 7 + 3) & 0xFF);
+    }
+    auto reply = client.call(1, request);
+    ASSERT_TRUE(reply.is_ok());
+    EXPECT_EQ(*reply, request);
+  }
+  server.stop();
+}
+
+/// Forwards to an inner connection, overriding only send(ByteSpan) —
+/// the shape of a timing decorator written before send_owned() existed.
+class ViewSendConnection final : public Connection {
+ public:
+  ViewSendConnection(std::unique_ptr<Connection> inner,
+                     std::atomic<int>& sends)
+      : inner_(std::move(inner)), sends_(sends) {}
+  Status send(ByteSpan message) override {
+    ++sends_;
+    return inner_->send(message);
+  }
+  Result<Bytes> recv() override { return inner_->recv(); }
+  Result<Bytes> recv_until(WallClock::time_point deadline) override {
+    return inner_->recv_until(deadline);
+  }
+  void close() override { inner_->close(); }
+  std::string peer() const override { return inner_->peer(); }
+
+ private:
+  std::unique_ptr<Connection> inner_;
+  std::atomic<int>& sends_;
+};
+
+class ViewSendListener final : public Listener {
+ public:
+  ViewSendListener(std::unique_ptr<Listener> inner, std::atomic<int>& sends)
+      : inner_(std::move(inner)), sends_(sends) {}
+  Result<std::unique_ptr<Connection>> accept() override {
+    GL_ASSIGN_OR_RETURN(auto conn, inner_->accept());
+    return std::unique_ptr<Connection>(
+        std::make_unique<ViewSendConnection>(std::move(conn), sends_));
+  }
+  Endpoint bound_endpoint() const override {
+    return inner_->bound_endpoint();
+  }
+  void close() override { inner_->close(); }
+
+ private:
+  std::unique_ptr<Listener> inner_;
+  std::atomic<int>& sends_;
+};
+
+class ViewSendTransport final : public Transport {
+ public:
+  ViewSendTransport(std::unique_ptr<Transport> inner, std::atomic<int>& sends)
+      : inner_(std::move(inner)), sends_(sends) {}
+  Result<std::unique_ptr<Connection>> connect(const Endpoint& remote) override {
+    GL_ASSIGN_OR_RETURN(auto conn, inner_->connect(remote));
+    return std::unique_ptr<Connection>(
+        std::make_unique<ViewSendConnection>(std::move(conn), sends_));
+  }
+  Result<std::unique_ptr<Listener>> listen(const Endpoint& local) override {
+    GL_ASSIGN_OR_RETURN(auto listener, inner_->listen(local));
+    return std::unique_ptr<Listener>(
+        std::make_unique<ViewSendListener>(std::move(listener), sends_));
+  }
+  const std::string& local_host() const override {
+    return inner_->local_host();
+  }
+
+ private:
+  std::unique_ptr<Transport> inner_;
+  std::atomic<int>& sends_;
+};
+
+TEST_P(RpcTest, DecoratorOverridingOnlySendCarriesRpcs) {
+  RealClock clock;
+  InProcNetwork network(clock);
+  std::atomic<int> sends{0};
+  ViewSendTransport server_t(network.transport("dione"), sends);
+  ViewSendTransport client_t(network.transport("jagan"), sends);
+  RpcServer server(server_t, inproc_endpoint("dione", "echo"), GetParam());
+  register_echo(server);
+  ASSERT_TRUE(server.start().is_ok());
+  {
+    RpcClient client(client_t, server.endpoint(), GetParam());
+    const Bytes request(4096, std::byte{0x5A});
+    for (int i = 0; i < 3; ++i) {
+      auto reply = client.call(1, request);
+      ASSERT_TRUE(reply.is_ok());
+      EXPECT_EQ(*reply, request);
+    }
+  }
+  EXPECT_EQ(sends.load(), 6);  // each request and reply went through send()
+  server.stop();
+}
 
 TEST_P(RpcTest, CallAndHandlerError) {
   RealClock clock;

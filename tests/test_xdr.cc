@@ -55,6 +55,23 @@ TEST(CodecTest, DecodePastEndFails) {
   EXPECT_FALSE(dec.u32().is_ok());
 }
 
+TEST(CodecTest, BytesViewAliasesInputAndRejectsTruncation) {
+  Encoder enc;
+  enc.put_bytes(as_bytes_view("grid"));
+  enc.put_u8(9);
+  const Bytes wire = std::move(enc).take();
+  Decoder dec(wire);
+  auto view = dec.bytes_view();
+  ASSERT_TRUE(view.is_ok());
+  EXPECT_EQ(view->data(), wire.data() + 4);  // no copy: into the input
+  EXPECT_EQ(to_string(*view), "grid");
+  EXPECT_EQ(dec.u8().value(), 9);
+
+  // A length prefix claiming more than follows is rejected.
+  Decoder truncated(ByteSpan(wire).first(6));
+  EXPECT_EQ(truncated.bytes_view().status().code(), ErrorCode::kOutOfRange);
+}
+
 TEST(CodecTest, TruncatedStringFails) {
   Encoder enc;
   enc.put_u32(100);  // claims 100 bytes follow; none do
